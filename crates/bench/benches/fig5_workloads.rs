@@ -10,9 +10,10 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;
 
 use ggs_apps::AppKind;
-use ggs_core::experiment::{run_workload, ExperimentSpec};
+use ggs_core::experiment::{run_workload_budgeted, ExperimentSpec};
 use ggs_core::sweep::figure5_configs;
 use ggs_graph::synth::{GraphPreset, SynthConfig};
+use ggs_trace::Tracer;
 
 const SCALE: f64 = 0.02;
 
@@ -33,7 +34,12 @@ fn bench_workloads(c: &mut Criterion) {
             group.bench_with_input(
                 BenchmarkId::from_parameter(config.code()),
                 &config,
-                |b, &config| b.iter(|| run_workload(app, &graph, config, &spec)),
+                |b, &config| {
+                    b.iter(|| {
+                        run_workload_budgeted(app, &graph, config, &spec, Tracer::off(), None)
+                            .expect("figure 5 configs are supported")
+                    })
+                },
             );
         }
         group.finish();
@@ -54,7 +60,10 @@ fn bench_imbalanced_input(c: &mut Criterion) {
     for code in ["SG1", "SGR"] {
         let config = code.parse().expect("valid config");
         group.bench_with_input(BenchmarkId::from_parameter(code), &config, |b, &config| {
-            b.iter(|| run_workload(AppKind::Pr, &graph, config, &spec))
+            b.iter(|| {
+                run_workload_budgeted(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)
+                    .expect("push is supported by PR")
+            })
         });
     }
     group.finish();

@@ -11,6 +11,7 @@ use ggs_apps::AppKind;
 use ggs_core::experiment::ExperimentSpec;
 use ggs_core::sweep::{baseline_config, figure5_configs, WorkloadSweep};
 use ggs_graph::synth::{GraphPreset, SynthConfig};
+use ggs_trace::Tracer;
 
 fn bench_sweep_row(c: &mut Criterion) {
     let scale = 0.02;
@@ -26,7 +27,9 @@ fn bench_sweep_row(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.bench_function("sweep_MIS-RAJ_and_pick_best", |b| {
         b.iter(|| {
-            let sweep = WorkloadSweep::run(AppKind::Mis, "RAJ", &graph, &configs, &spec);
+            let sweep =
+                WorkloadSweep::run(AppKind::Mis, "RAJ", &graph, &configs, &spec, Tracer::off())
+                    .expect("figure 5 configs are supported");
             let best = sweep.best().config;
             let norm = sweep.normalized_to(baseline_config(AppKind::Mis));
             (best, norm.len())

@@ -445,10 +445,18 @@ fn main() {
     }
 
     if needs_study || json_path.is_some() {
+        use ggs_core::experiment::ExperimentSpec;
+        use ggs_core::runner::{run_study, StudyOptions};
+
         eprintln!("[repro] running the 36-workload study at scale {scale} on {threads} threads…");
         let start = std::time::Instant::now();
         let metrics = ggs_trace::MetricsRegistry::new();
-        let study = Study::run_with_metrics(scale, ConfigSet::Figure5, threads, &metrics);
+        let spec = ExperimentSpec::try_at_scale(scale).unwrap_or_else(|e| die(&e.to_string()));
+        let options = StudyOptions::new(ConfigSet::Figure5, threads);
+        let study = match run_study(&spec, &options, &metrics, &ggs_trace::NOOP) {
+            Ok(outcome) => outcome.study,
+            Err(e) => die(&e.to_string()),
+        };
         eprintln!(
             "[repro] study finished in {:.1}s",
             start.elapsed().as_secs_f64()
@@ -542,7 +550,7 @@ fn trace_cmd(
     trace_out: Option<&str>,
     stride: u64,
 ) {
-    use ggs_core::experiment::{run_workload_traced, ExperimentSpec};
+    use ggs_core::experiment::{run_workload_budgeted, ExperimentSpec};
     use ggs_trace::Tracer;
 
     let app: AppKind = match app.parse() {
@@ -567,7 +575,7 @@ fn trace_cmd(
     );
     let sink = open_sink(path);
     let tracer = Tracer::new(sink.as_ref(), stride);
-    let stats = match run_workload_traced(app, &graph, config, &spec, tracer) {
+    let stats = match run_workload_budgeted(app, &graph, config, &spec, tracer, None) {
         Ok(stats) => stats,
         Err(e) => die(&format!("{e}")),
     };
@@ -983,6 +991,7 @@ fn hybrid(scale: f64) {
     use ggs_core::sweep::hybrid_configs;
     use ggs_core::WorkloadSweep;
     use ggs_model::SystemConfig;
+    use ggs_trace::Tracer;
 
     println!("== Hybrid: frontier-adaptive push/pull vs best static (scale {scale}) ==");
     let spec = ExperimentSpec::at_scale(scale);
@@ -1010,20 +1019,19 @@ fn hybrid(scale: f64) {
                     .min_by_key(|&(_, cycles)| cycles)
                     .expect("sweep is non-empty")
             };
-            let (s_cfg, s_cycles) = best(&WorkloadSweep::run(
-                app,
-                preset.mnemonic(),
-                &graph,
-                &static_cells,
-                &spec,
-            ));
-            let (h_cfg, h_cycles) = best(&WorkloadSweep::run(
-                app,
-                preset.mnemonic(),
-                &graph,
-                &hybrid_cells,
-                &spec,
-            ));
+            let sweep = |configs: &[SystemConfig]| {
+                WorkloadSweep::run(
+                    app,
+                    preset.mnemonic(),
+                    &graph,
+                    configs,
+                    &spec,
+                    Tracer::off(),
+                )
+                .unwrap_or_else(|e| die(&e.to_string()))
+            };
+            let (s_cfg, s_cycles) = best(&sweep(&static_cells));
+            let (h_cfg, h_cycles) = best(&sweep(&hybrid_cells));
             total += 1;
             let won = h_cycles < s_cycles;
             if won {
@@ -1319,7 +1327,8 @@ fn fig6(study: &Study) {
 /// ownership transfers).
 fn traffic(scale: f64) {
     use ggs_apps::AppKind;
-    use ggs_core::experiment::{run_workload, ExperimentSpec};
+    use ggs_core::experiment::{run_workload_budgeted, ExperimentSpec};
+    use ggs_trace::Tracer;
 
     println!("== NoC traffic per configuration (PR on OLS and EML) ==");
     let spec = ExperimentSpec::at_scale(scale);
@@ -1334,7 +1343,8 @@ fn traffic(scale: f64) {
         let graph = SynthConfig::preset(preset).scale(scale).generate();
         for code in ["TG0", "SGR", "SDR"] {
             let cfg = code.parse().expect("valid config");
-            let stats = run_workload(AppKind::Pr, &graph, cfg, &spec);
+            let stats = run_workload_budgeted(AppKind::Pr, &graph, cfg, &spec, Tracer::off(), None)
+                .unwrap_or_else(|e| die(&e.to_string()));
             let kb =
                 (stats.mem.noc_line_transfers * 64 + stats.mem.noc_control_messages * 8) / 1024;
             t.row([
@@ -1355,6 +1365,7 @@ fn traffic(scale: f64) {
 fn gsi(scale: f64) {
     use ggs_apps::AppKind;
     use ggs_core::experiment::{run_workload_profiled, ExperimentSpec};
+    use ggs_trace::Tracer;
 
     println!("== Per-data-structure attribution (GSI-style) ==");
     let spec = ExperimentSpec::at_scale(scale);
@@ -1364,7 +1375,8 @@ fn gsi(scale: f64) {
     ] {
         let graph = SynthConfig::preset(preset).scale(scale).generate();
         let cfg = code.parse().expect("valid config");
-        let (stats, regions) = run_workload_profiled(app, &graph, cfg, &spec);
+        let (stats, regions) = run_workload_profiled(app, &graph, cfg, &spec, Tracer::off(), None)
+            .unwrap_or_else(|e| die(&e.to_string()));
         println!(
             "{app}-{preset} under {code}: {} cycles",
             stats.total_cycles()

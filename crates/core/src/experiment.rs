@@ -1,11 +1,15 @@
 //! Running one (application, graph, configuration) experiment point.
 
+use std::borrow::Cow;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ggs_apps::{AppKind, Workload};
 use ggs_graph::Csr;
 use ggs_model::SystemConfig;
-use ggs_sim::{ExecStats, SimBudget, Simulation, SystemParams};
+use ggs_sim::stats::RegionStats;
+use ggs_sim::trace::KernelTrace;
+use ggs_sim::{BudgetBreach, ExecStats, HwConfig, SimBudget, Simulation, SystemParams};
 use ggs_trace::Tracer;
 
 use crate::error::GgsError;
@@ -20,8 +24,11 @@ pub struct ExperimentSpec {
     pub params: SystemParams,
     /// Watchdog budget applied to every simulation run under this spec
     /// (kernel/iteration and simulated-cycle limits). Unlimited by
-    /// default; a breached run is reported as [`GgsError::Budget`] by
-    /// [`run_workload_budgeted`].
+    /// default; every run entry point ([`run_workload_budgeted`],
+    /// [`run_workload_profiled`], [`run_stream_budgeted`],
+    /// [`crate::adaptive::run_adaptive_budgeted`] and
+    /// [`crate::sweep::WorkloadSweep::run`]) reports a breached run as
+    /// [`GgsError::Budget`].
     pub budget: SimBudget,
 }
 
@@ -166,178 +173,94 @@ impl ExperimentSpecBuilder {
     }
 }
 
-/// Simulates `app` on `graph` under `config`, returning the final
-/// execution statistics.
-///
-/// The application's kernel sequence is generated (streamed) and fed to
-/// a fresh [`Simulation`] configured with the hardware half of
-/// `config`; cache and ownership state persist across the workload's
-/// kernels, as on the simulated machine.
-///
-/// SSSP requires a weighted graph; deterministic weights are attached
-/// on the fly when missing.
-///
-/// # Panics
-///
-/// Panics if `config.propagation` is not supported by `app` (e.g. push
-/// for CC). Prefer [`run_workload_traced`] on paths that must not
-/// panic.
-pub fn run_workload(
-    app: AppKind,
-    graph: &Csr,
-    config: SystemConfig,
-    spec: &ExperimentSpec,
-) -> ExecStats {
-    run_workload_traced(app, graph, config, spec, Tracer::off()).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible, instrumented variant of [`run_workload`]: every simulator
-/// event (kernel boundaries, stall samples, cache/NoC counters,
-/// synchronization) is emitted through `tracer`, and an unsupported
-/// (application, propagation) pairing is reported as
-/// [`GgsError::Unsupported`] instead of panicking.
-///
-/// Pass [`Tracer::off`] to run without instrumentation at zero cost.
-pub fn run_workload_traced(
-    app: AppKind,
-    graph: &Csr,
-    config: SystemConfig,
-    spec: &ExperimentSpec,
-    tracer: Tracer<'_>,
-) -> Result<ExecStats, GgsError> {
-    check_supported(app, config)?;
-    let weighted;
-    let graph = if app.needs_weights() && !graph.is_weighted() {
-        weighted = graph.clone().with_hashed_weights(64);
-        &weighted
+/// The graph `app` runs on: SSSP needs edge weights, so deterministic
+/// ones are attached to an unweighted input; every other case borrows
+/// the graph as given.
+fn with_weights(app: AppKind, graph: &Csr) -> Cow<'_, Csr> {
+    if app.needs_weights() && !graph.is_weighted() {
+        Cow::Owned(graph.clone().with_hashed_weights(64))
     } else {
-        graph
-    };
-    let mut sim = Simulation::builder(spec.params.clone(), config.hw())
-        .tracer(tracer)
-        .build();
-    let tb = spec.params.tb_size;
-    Workload::new(app, graph).generate(config.propagation, tb, &mut |kernel| {
-        sim.run_kernel(kernel);
-    });
-    Ok(sim.finish())
+        Cow::Borrowed(graph)
+    }
 }
 
-/// Watchdog-guarded variant of [`run_workload_traced`]: the spec's
-/// [`SimBudget`] and an optional wall-clock `deadline` are enforced
-/// inside the engine — cycle limits at the exact breach cycle and the
-/// deadline mid-kernel, so even a single hung kernel is abandoned.
-/// Once either trips, remaining kernels are skipped and the run is
-/// reported as [`GgsError::Budget`] / [`GgsError::Deadline`] instead
-/// of returning partial statistics.
-pub fn run_workload_budgeted(
+/// Where a run's kernels come from.
+pub(crate) enum Kernels<'a> {
+    /// Generated from the graph while the engine consumes them, so no
+    /// stream is ever materialised. `regions` registers the workload's
+    /// address map for per-array attribution.
+    Fused { graph: &'a Csr, regions: bool },
+    /// Replayed from a stream built by [`produce_trace_stream`].
+    Stream(&'a [Arc<KernelTrace>]),
+}
+
+/// The one run driver behind every public entry point.
+///
+/// Checks that `app` supports `config`, builds the [`Simulation`] with
+/// `tracer`, the workload's regions (if asked for) and the spec's
+/// [`SimBudget`] merged with `deadline` (an explicit deadline overrides
+/// the budget's own), and feeds it the kernels in order. Cycle limits
+/// trip at the exact breach cycle and the deadline mid-kernel; once
+/// either trips, remaining kernels are skipped and the run is reported
+/// as [`GgsError::Budget`] / [`GgsError::Deadline`] instead of
+/// returning partial statistics.
+///
+/// `reconfigure`, when given, picks the hardware point before every
+/// kernel launch (the adaptive runner's hook).
+pub(crate) fn drive<'t>(
     app: AppKind,
-    graph: &Csr,
+    kernels: Kernels<'_>,
     config: SystemConfig,
     spec: &ExperimentSpec,
-    tracer: Tracer<'_>,
+    tracer: Tracer<'t>,
     deadline: Option<Instant>,
-) -> Result<ExecStats, GgsError> {
+    mut reconfigure: Option<&mut dyn FnMut(&KernelTrace) -> HwConfig>,
+) -> Result<Simulation<'t>, GgsError> {
     check_supported(app, config)?;
-    let weighted;
-    let graph = if app.needs_weights() && !graph.is_weighted() {
-        weighted = graph.clone().with_hashed_weights(64);
-        &weighted
-    } else {
-        graph
-    };
     let mut budget = spec.budget;
     budget.deadline = deadline.or(budget.deadline);
-    let mut sim = Simulation::builder(spec.params.clone(), config.hw())
+    let mut builder = Simulation::builder(spec.params.clone(), config.hw())
         .tracer(tracer)
-        .budget(budget)
-        .build();
+        .budget(budget);
+    let (graph, stream) = match kernels {
+        Kernels::Fused { graph, regions } => {
+            let graph = with_weights(app, graph);
+            if regions {
+                for (name, base, bytes) in Workload::new(app, &graph).memory_map() {
+                    builder = builder.region(name, base, bytes);
+                }
+            }
+            (Some(graph), &[][..])
+        }
+        Kernels::Stream(stream) => (None, stream),
+    };
+    let mut sim = builder.build();
     let started = Instant::now();
-    let tb = spec.params.tb_size;
-    Workload::new(app, graph).generate(config.propagation, tb, &mut |kernel| {
+    let mut step = |kernel: &KernelTrace| {
         if sim.budget_exhausted() {
             return;
         }
-        sim.run_kernel(kernel);
-    });
-    match sim.budget_breach() {
-        Some(ggs_sim::BudgetBreach::Deadline { .. }) => {
-            let limit_ms = deadline
-                .map(|d| d.saturating_duration_since(started).as_millis() as u64)
-                .unwrap_or(0);
-            Err(GgsError::Deadline { limit_ms })
+        if let Some(choose) = reconfigure.as_mut() {
+            sim.reconfigure(choose(kernel));
         }
-        Some(breach) => Err(GgsError::Budget(breach)),
-        None => Ok(sim.finish()),
-    }
-}
-
-/// Materializes the kernel stream of `(app, graph, prop, tb_size)` —
-/// the *functional* half of a workload run, shared by every
-/// configuration cell of a direction (the stream never depends on
-/// coherence, consistency, or timing; see [`Workload::produce`]).
-///
-/// SSSP's deterministic weight attachment is replicated here, so the
-/// stream for an unweighted graph matches what [`run_workload_traced`]
-/// would simulate.
-///
-/// # Panics
-///
-/// Panics if `prop` is not supported by `app` (see
-/// [`AppKind::supported_propagations`]).
-pub fn produce_trace_stream(
-    app: AppKind,
-    graph: &Csr,
-    prop: ggs_model::Propagation,
-    tb_size: u32,
-) -> Vec<std::sync::Arc<ggs_sim::trace::KernelTrace>> {
-    let weighted;
-    let graph = if app.needs_weights() && !graph.is_weighted() {
-        weighted = graph.clone().with_hashed_weights(64);
-        &weighted
-    } else {
-        graph
+        sim.run_kernel(kernel);
     };
-    Workload::new(app, graph).stream(prop, tb_size)
-}
-
-/// Timing half of the split workload run: simulates a pre-built kernel
-/// `stream` (from [`produce_trace_stream`], possibly via a
-/// `TraceCache`) under `config`, with the same budget/deadline
-/// semantics as [`run_workload_budgeted`]. Feeding the same kernels in
-/// the same order through the same engine makes the statistics
-/// bit-identical to the streamed path.
-pub fn run_stream_budgeted(
-    stream: &[std::sync::Arc<ggs_sim::trace::KernelTrace>],
-    app: AppKind,
-    config: SystemConfig,
-    spec: &ExperimentSpec,
-    tracer: Tracer<'_>,
-    deadline: Option<Instant>,
-) -> Result<ExecStats, GgsError> {
-    check_supported(app, config)?;
-    let mut budget = spec.budget;
-    budget.deadline = deadline.or(budget.deadline);
-    let mut sim = Simulation::builder(spec.params.clone(), config.hw())
-        .tracer(tracer)
-        .budget(budget)
-        .build();
-    let started = Instant::now();
-    for kernel in stream {
-        if sim.budget_exhausted() {
-            break;
+    match &graph {
+        Some(graph) => {
+            Workload::new(app, graph).generate(config.propagation, spec.params.tb_size, &mut step)
         }
-        sim.run_kernel(kernel);
+        None => stream.iter().for_each(|kernel| step(kernel)),
     }
     match sim.budget_breach() {
-        Some(ggs_sim::BudgetBreach::Deadline { .. }) => {
-            let limit_ms = deadline
+        Some(BudgetBreach::Deadline { .. }) => {
+            let limit_ms = budget
+                .deadline
                 .map(|d| d.saturating_duration_since(started).as_millis() as u64)
                 .unwrap_or(0);
             Err(GgsError::Deadline { limit_ms })
         }
         Some(breach) => Err(GgsError::Budget(breach)),
-        None => Ok(sim.finish()),
+        None => Ok(sim),
     }
 }
 
@@ -352,58 +275,118 @@ fn check_supported(app: AppKind, config: SystemConfig) -> Result<(), GgsError> {
     }
 }
 
-/// Like [`run_workload`], additionally registering the application's
-/// address map so the result carries GSI-style per-data-structure
-/// attribution (`(array name, stats)` in address order).
+/// Simulates `app` on `graph` under `config` and returns the final
+/// execution statistics — the default way to run one workload.
 ///
-/// # Panics
+/// The application's kernel sequence is generated (streamed) into a
+/// fresh [`Simulation`] configured with the hardware half of `config`;
+/// cache and ownership state persist across the workload's kernels, as
+/// on the simulated machine. Every simulator event is emitted through
+/// `tracer` ([`Tracer::off`] runs without instrumentation at zero
+/// cost). SSSP's weights are attached on the fly when missing.
 ///
-/// Panics if `config.propagation` is not supported by `app`. Prefer
-/// [`run_workload_profiled_traced`] on paths that must not panic.
-pub fn run_workload_profiled(
-    app: AppKind,
-    graph: &Csr,
-    config: SystemConfig,
-    spec: &ExperimentSpec,
-) -> (ExecStats, Vec<(String, ggs_sim::stats::RegionStats)>) {
-    run_workload_profiled_traced(app, graph, config, spec, Tracer::off())
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible, instrumented variant of [`run_workload_profiled`] (see
-/// [`run_workload_traced`] for the tracing contract).
-pub fn run_workload_profiled_traced(
+/// # Errors
+///
+/// [`GgsError::Unsupported`] if `app` does not support
+/// `config.propagation` (e.g. push for CC); [`GgsError::Budget`] /
+/// [`GgsError::Deadline`] if the spec's [`SimBudget`] or `deadline`
+/// trips (see [`ExperimentSpec::budget`]).
+pub fn run_workload_budgeted(
     app: AppKind,
     graph: &Csr,
     config: SystemConfig,
     spec: &ExperimentSpec,
     tracer: Tracer<'_>,
-) -> Result<(ExecStats, Vec<(String, ggs_sim::stats::RegionStats)>), GgsError> {
-    check_supported(app, config)?;
-    let weighted;
-    let graph = if app.needs_weights() && !graph.is_weighted() {
-        weighted = graph.clone().with_hashed_weights(64);
-        &weighted
-    } else {
-        graph
+    deadline: Option<Instant>,
+) -> Result<ExecStats, GgsError> {
+    let kernels = Kernels::Fused {
+        graph,
+        regions: false,
     };
-    let workload = Workload::new(app, graph);
-    let mut builder = Simulation::builder(spec.params.clone(), config.hw()).tracer(tracer);
-    for (name, base, bytes) in workload.memory_map() {
-        builder = builder.region(name, base, bytes);
-    }
-    let mut sim = builder.build();
-    workload.generate(config.propagation, spec.params.tb_size, &mut |kernel| {
-        sim.run_kernel(kernel);
-    });
+    drive(app, kernels, config, spec, tracer, deadline, None).map(Simulation::finish)
+}
+
+/// Like [`run_workload_budgeted`], additionally registering the
+/// application's address map so the result carries GSI-style
+/// per-data-structure attribution (`(array name, stats)` in address
+/// order).
+///
+/// # Errors
+///
+/// As for [`run_workload_budgeted`].
+pub fn run_workload_profiled(
+    app: AppKind,
+    graph: &Csr,
+    config: SystemConfig,
+    spec: &ExperimentSpec,
+    tracer: Tracer<'_>,
+    deadline: Option<Instant>,
+) -> Result<(ExecStats, Vec<(String, RegionStats)>), GgsError> {
+    let kernels = Kernels::Fused {
+        graph,
+        regions: true,
+    };
+    let sim = drive(app, kernels, config, spec, tracer, deadline, None)?;
     let regions = sim.region_stats();
     Ok((sim.finish(), regions))
+}
+
+/// Materializes the kernel stream of `(app, graph, prop, tb_size)` —
+/// the *functional* half of a workload run, shared by every
+/// configuration cell of a direction (the stream never depends on
+/// coherence, consistency, or timing; see [`Workload::produce`]).
+///
+/// SSSP's weights are attached exactly as the run driver attaches
+/// them, so [`run_stream_budgeted`] on this stream matches
+/// [`run_workload_budgeted`] on the same graph bit for bit.
+///
+/// # Panics
+///
+/// Panics if `prop` is not supported by `app` (see
+/// [`AppKind::supported_propagations`]).
+pub fn produce_trace_stream(
+    app: AppKind,
+    graph: &Csr,
+    prop: ggs_model::Propagation,
+    tb_size: u32,
+) -> Vec<Arc<KernelTrace>> {
+    Workload::new(app, &with_weights(app, graph)).stream(prop, tb_size)
+}
+
+/// Timing half of the split workload run: simulates a pre-built kernel
+/// `stream` (from [`produce_trace_stream`], possibly shared through a
+/// `TraceCache`) under `config`. Feeding the same kernels in the same
+/// order through the same engine makes the statistics bit-identical to
+/// [`run_workload_budgeted`].
+///
+/// # Errors
+///
+/// As for [`run_workload_budgeted`].
+pub fn run_stream_budgeted(
+    stream: &[Arc<KernelTrace>],
+    app: AppKind,
+    config: SystemConfig,
+    spec: &ExperimentSpec,
+    tracer: Tracer<'_>,
+    deadline: Option<Instant>,
+) -> Result<ExecStats, GgsError> {
+    let kernels = Kernels::Stream(stream);
+    drive(app, kernels, config, spec, tracer, deadline, None).map(Simulation::finish)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ggs_graph::GraphBuilder;
+    use ggs_model::Propagation;
+    use ggs_sim::{CoherenceKind, ConsistencyModel};
+    use std::time::Duration;
+
+    const SGR: SystemConfig = SystemConfig {
+        propagation: Propagation::Push,
+        coherence: CoherenceKind::Gpu,
+        consistency: ConsistencyModel::DrfRlx,
+    };
 
     fn graph() -> Csr {
         GraphBuilder::new(1024)
@@ -417,38 +400,94 @@ mod tests {
             .build()
     }
 
+    fn run(app: AppKind, g: &Csr, code: &str, spec: &ExperimentSpec) -> ExecStats {
+        let config = code.parse().unwrap();
+        run_workload_budgeted(app, g, config, spec, Tracer::off(), None).unwrap()
+    }
+
+    /// A public run entry point running PR on a graph under a spec,
+    /// with an optional wall-clock deadline.
+    type Entry = fn(&Csr, &ExperimentSpec, Option<Instant>) -> Result<(), GgsError>;
+
+    /// Every public run entry point, by name.
+    const ENTRIES: [(&str, Entry); 5] = [
+        ("fused", |g, spec, deadline| {
+            run_workload_budgeted(AppKind::Pr, g, SGR, spec, Tracer::off(), deadline).map(drop)
+        }),
+        ("stream", |g, spec, deadline| {
+            let stream = produce_trace_stream(AppKind::Pr, g, SGR.propagation, spec.params.tb_size);
+            run_stream_budgeted(&stream, AppKind::Pr, SGR, spec, Tracer::off(), deadline).map(drop)
+        }),
+        ("profiled", |g, spec, deadline| {
+            run_workload_profiled(AppKind::Pr, g, SGR, spec, Tracer::off(), deadline).map(drop)
+        }),
+        ("adaptive", |g, spec, deadline| {
+            crate::adaptive::run_adaptive_budgeted(AppKind::Pr, g, spec, Tracer::off(), deadline)
+                .map(drop)
+        }),
+        ("sweep", |g, spec, deadline| {
+            // The sweep takes its deadline from the spec's budget.
+            let mut spec = spec.clone();
+            spec.budget.deadline = deadline;
+            crate::sweep::WorkloadSweep::run(AppKind::Pr, "g", g, &[SGR], &spec, Tracer::off())
+                .map(drop)
+        }),
+    ];
+
+    #[test]
+    fn every_entry_enforces_the_budget_and_deadline() {
+        let g = graph();
+        let spec = ExperimentSpec::at_scale(0.05);
+        let kernel_capped = ExperimentSpec::builder()
+            .scale(0.05)
+            .max_kernels(1)
+            .build()
+            .unwrap();
+        let cycle_capped = ExperimentSpec::builder()
+            .scale(0.05)
+            .max_sim_cycles(1)
+            .build()
+            .unwrap();
+        let past = Instant::now() - Duration::from_millis(1);
+        for (name, run) in ENTRIES {
+            run(&g, &spec, None).unwrap_or_else(|e| panic!("{name}: {e}"));
+
+            let err = run(&g, &kernel_capped, None).unwrap_err();
+            assert!(matches!(err, GgsError::Budget(_)), "{name}: {err}");
+            assert!(err.is_timeout() && !err.is_retryable(), "{name}: {err}");
+            assert!(
+                err.to_string().contains("kernel budget exhausted"),
+                "{name}: {err}"
+            );
+
+            let err = run(&g, &cycle_capped, None).unwrap_err();
+            assert!(matches!(err, GgsError::Budget(_)), "{name}: {err}");
+            assert!(err.to_string().contains("cycle budget"), "{name}: {err}");
+
+            let err = run(&g, &spec, Some(past)).unwrap_err();
+            assert!(matches!(err, GgsError::Deadline { .. }), "{name}: {err}");
+            assert!(err.is_timeout(), "{name}: {err}");
+        }
+    }
+
     #[test]
     fn every_app_runs_on_every_supported_config() {
         let g = graph();
         let spec = ExperimentSpec::at_scale(0.05);
         for app in AppKind::ALL {
             for cfg in ggs_model::SystemConfig::all_for(app.algo_profile().traversal) {
-                let stats = run_workload(app, &g, cfg, &spec);
+                let stats = run(app, &g, &cfg.code(), &spec);
                 assert!(stats.total_cycles() > 0, "{app}/{cfg} produced no cycles");
             }
         }
     }
 
     #[test]
-    #[should_panic(expected = "does not support")]
-    fn rejects_unsupported_propagation() {
+    fn unsupported_propagation_is_a_typed_error() {
         let g = graph();
         let spec = ExperimentSpec::default();
-        let _ = run_workload(AppKind::Cc, &g, "SGR".parse().unwrap(), &spec);
-    }
-
-    #[test]
-    fn traced_run_reports_unsupported_propagation_as_error() {
-        let g = graph();
-        let spec = ExperimentSpec::default();
-        let err = run_workload_traced(
-            AppKind::Cc,
-            &g,
-            "SGR".parse().unwrap(),
-            &spec,
-            ggs_trace::Tracer::off(),
-        )
-        .unwrap_err();
+        let err =
+            run_workload_budgeted(AppKind::Cc, &g, SGR, &spec, Tracer::off(), None).unwrap_err();
         assert!(matches!(err, GgsError::Unsupported { .. }));
         assert!(err.to_string().contains("does not support"));
     }
@@ -477,54 +516,26 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_run_reports_kernel_budget_breach_as_timeout() {
+    fn untripped_budget_does_not_perturb_the_run() {
         let g = graph();
-        let spec = ExperimentSpec::builder()
+        let unlimited = ExperimentSpec::at_scale(0.05);
+        let generous = ExperimentSpec::builder()
             .scale(0.05)
-            .max_kernels(1)
+            .max_kernels(1 << 20)
+            .max_sim_cycles(u64::MAX)
             .build()
             .unwrap();
-        let err = run_workload_budgeted(
+        let deadline = Instant::now() + Duration::from_secs(3600);
+        let capped = run_workload_budgeted(
             AppKind::Pr,
             &g,
-            "SGR".parse().unwrap(),
-            &spec,
-            Tracer::off(),
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, GgsError::Budget(_)), "{err}");
-        assert!(err.is_timeout() && !err.is_retryable());
-        assert!(err.to_string().contains("kernel budget exhausted"));
-    }
-
-    #[test]
-    fn budgeted_run_honors_wall_clock_deadline() {
-        let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
-        let deadline = Instant::now() - std::time::Duration::from_millis(1);
-        let err = run_workload_budgeted(
-            AppKind::Pr,
-            &g,
-            "SGR".parse().unwrap(),
-            &spec,
+            SGR,
+            &generous,
             Tracer::off(),
             Some(deadline),
         )
-        .unwrap_err();
-        assert!(matches!(err, GgsError::Deadline { .. }), "{err}");
-        assert!(err.is_timeout());
-    }
-
-    #[test]
-    fn unlimited_budget_matches_untracked_run() {
-        let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
-        let cfg = "SGR".parse().unwrap();
-        let budgeted =
-            run_workload_budgeted(AppKind::Pr, &g, cfg, &spec, Tracer::off(), None).unwrap();
-        let plain = run_workload(AppKind::Pr, &g, cfg, &spec);
-        assert_eq!(budgeted.total_cycles(), plain.total_cycles());
+        .unwrap();
+        assert_eq!(capped, run(AppKind::Pr, &g, "SGR", &unlimited));
     }
 
     #[test]
@@ -546,26 +557,11 @@ mod tests {
     }
 
     #[test]
-    fn stream_path_reports_budget_breach() {
-        let g = graph();
-        let spec = ExperimentSpec::builder()
-            .scale(0.05)
-            .max_kernels(1)
-            .build()
-            .unwrap();
-        let cfg: ggs_model::SystemConfig = "SGR".parse().unwrap();
-        let stream = produce_trace_stream(AppKind::Pr, &g, cfg.propagation, spec.params.tb_size);
-        let err =
-            run_stream_budgeted(&stream, AppKind::Pr, cfg, &spec, Tracer::off(), None).unwrap_err();
-        assert!(matches!(err, GgsError::Budget(_)), "{err}");
-    }
-
-    #[test]
     fn sssp_weights_attached_automatically() {
         let g = graph();
         assert!(!g.is_weighted());
         let spec = ExperimentSpec::at_scale(0.05);
-        let stats = run_workload(AppKind::Sssp, &g, "SG1".parse().unwrap(), &spec);
+        let stats = run(AppKind::Sssp, &g, "SG1", &spec);
         assert!(stats.total_cycles() > 0);
     }
 
@@ -574,8 +570,9 @@ mod tests {
         let g = graph();
         let spec = ExperimentSpec::at_scale(0.05);
         let (stats, regions) =
-            run_workload_profiled(AppKind::Pr, &g, "SGR".parse().unwrap(), &spec);
-        assert!(stats.total_cycles() > 0);
+            run_workload_profiled(AppKind::Pr, &g, SGR, &spec, Tracer::off(), None).unwrap();
+        // Registering regions never changes the timing.
+        assert_eq!(stats, run(AppKind::Pr, &g, "SGR", &spec));
         let by_name = |n: &str| {
             regions
                 .iter()
@@ -602,9 +599,9 @@ mod tests {
         // (§VI): heavy atomics + full invalidate/flush per atomic.
         let g = graph();
         let spec = ExperimentSpec::at_scale(0.05);
-        let t0 = run_workload(AppKind::Pr, &g, "SG0".parse().unwrap(), &spec).total_cycles();
-        let t1 = run_workload(AppKind::Pr, &g, "SG1".parse().unwrap(), &spec).total_cycles();
-        let tr = run_workload(AppKind::Pr, &g, "SGR".parse().unwrap(), &spec).total_cycles();
+        let t0 = run(AppKind::Pr, &g, "SG0", &spec).total_cycles();
+        let t1 = run(AppKind::Pr, &g, "SG1", &spec).total_cycles();
+        let tr = run(AppKind::Pr, &g, "SGR", &spec).total_cycles();
         assert!(t0 > t1, "DRF0 ({t0}) must be slower than DRF1 ({t1})");
         assert!(t1 >= tr, "DRF1 ({t1}) must not beat DRFrlx ({tr})");
     }

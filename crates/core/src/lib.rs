@@ -6,35 +6,40 @@
 //! [`ggs_apps`] kernels, the [`ggs_sim`] simulator, and the
 //! [`ggs_model`] taxonomy/decision tree — into the paper's experiments:
 //!
-//! * [`experiment::run_workload`] — one (application, graph, system
-//!   configuration) point: generates the kernel sequence and simulates
-//!   it end to end, returning the execution-time breakdown.
+//! * [`experiment::run_workload_budgeted`] — one (application, graph,
+//!   system configuration) point: generates the kernel sequence and
+//!   simulates it end to end under the spec's budget, returning the
+//!   execution-time breakdown. Its siblings in [`experiment`] replay a
+//!   pre-built stream or add per-array attribution; all of them share
+//!   one run driver.
 //! * [`sweep::WorkloadSweep`] — one workload across a set of
 //!   configurations (the bars of one Figure 5 group), with
 //!   normalization against the paper's baselines and best-config
 //!   selection.
-//! * [`study::Study`] — the full 36-workload × configurations study
-//!   behind Figures 5–6 and the Table V accuracy evaluation, runnable
-//!   in parallel.
-//! * [`adaptive::run_adaptive`] — the paper's §VIII outlook: per-kernel
-//!   hardware reconfiguration driven by runtime metrics on flexible
-//!   (Spandex-style) hardware.
+//! * [`runner::run_study`] — the full 36-workload × configurations
+//!   study behind Figures 5–6 and the Table V accuracy evaluation
+//!   ([`study::Study`]), fault-isolated and parallel.
+//! * [`adaptive::run_adaptive_budgeted`] — the paper's §VIII outlook:
+//!   per-kernel hardware reconfiguration driven by runtime metrics on
+//!   flexible (Spandex-style) hardware.
 //!
 //! # Example
 //!
 //! ```
-//! use ggs_core::experiment::{run_workload, ExperimentSpec};
+//! use ggs_core::experiment::{run_workload_budgeted, ExperimentSpec};
+//! use ggs_core::{GgsError, Tracer};
 //! use ggs_apps::AppKind;
 //! use ggs_graph::GraphBuilder;
 //!
 //! let graph = GraphBuilder::new(512)
 //!     .edges((0..511).map(|i| (i, i + 1)))
 //!     .symmetric(true)
-//!     .build();
+//!     .try_build()?;
 //! let spec = ExperimentSpec::default();
-//! let stats = run_workload(AppKind::Pr, &graph, "SGR".parse()?, &spec);
+//! let config = "SGR".parse()?;
+//! let stats = run_workload_budgeted(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)?;
 //! assert!(stats.total_cycles() > 0);
-//! # Ok::<(), ggs_model::decision::ParseConfigError>(())
+//! # Ok::<(), GgsError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,7 +58,8 @@ pub mod trace_cache;
 
 pub use error::GgsError;
 pub use experiment::{
-    run_workload, run_workload_budgeted, run_workload_traced, ExperimentSpec, ExperimentSpecBuilder,
+    produce_trace_stream, run_stream_budgeted, run_workload_budgeted, run_workload_profiled,
+    ExperimentSpec, ExperimentSpecBuilder,
 };
 pub use ggs_trace::{MetricsRegistry, Tracer};
 pub use runner::{

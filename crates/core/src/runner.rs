@@ -1,7 +1,10 @@
 //! Fault-isolated, checkpointed execution of the full study.
 //!
-//! [`crate::study::Study::run_with_metrics`] fans the 36-workload ×
-//! configuration grid across worker threads; without protection a
+//! [`run_study`] fans the 36-workload × configuration grid across
+//! worker threads. Each cell goes through the one budgeted run driver:
+//! [`crate::experiment::run_stream_budgeted`] over a stream shared
+//! through the [`TraceCache`] when one is enabled, otherwise the fused
+//! [`crate::experiment::run_workload_budgeted`]. Without protection a
 //! single panicking cell, a non-converging configuration, or a hung
 //! simulation kills the whole study and discards hours of completed
 //! results. This module wraps every *cell* (one application × graph ×
@@ -477,8 +480,8 @@ impl Default for StudyOptions {
 }
 
 impl StudyOptions {
-    /// Options matching the legacy `Study::run_with_metrics` behavior:
-    /// `configs` over `threads` workers, no watchdogs, no journal.
+    /// Plain study options: `configs` over `threads` workers, no
+    /// watchdogs, no journal, no store, the default trace cache.
     pub fn new(configs: ConfigSet, threads: usize) -> Self {
         Self {
             configs,

@@ -3,12 +3,9 @@
 
 use std::collections::BTreeMap;
 
-use ggs_trace::MetricsRegistry;
-
 use crate::error::GgsError;
-use crate::experiment::ExperimentSpec;
 use crate::json::{self, Value};
-use crate::runner::{run_study, CellReport, CellStatus, StudyOptions};
+use crate::runner::{CellReport, CellStatus};
 
 /// Which configuration set a study sweeps per workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -152,41 +149,6 @@ pub struct Study {
 }
 
 impl Study {
-    /// Runs the study at `scale` over `configs` using `threads` worker
-    /// threads (pass 1 for deterministic sequential execution; results
-    /// are identical either way since workloads are independent).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or `scale` is not positive.
-    pub fn run(scale: f64, configs: ConfigSet, threads: usize) -> Self {
-        Self::run_with_metrics(scale, configs, threads, &MetricsRegistry::new())
-    }
-
-    /// Like [`Study::run`], additionally recording wall-clock phase
-    /// spans (`generate_inputs`, `simulate`, `aggregate`) and
-    /// per-worker counters into `metrics`. Workers accumulate into
-    /// thread-local registries that are merged into `metrics` as each
-    /// worker finishes, so the shared registry is touched once per
-    /// worker, not once per event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero or `scale` is not positive.
-    pub fn run_with_metrics(
-        scale: f64,
-        configs: ConfigSet,
-        threads: usize,
-        metrics: &MetricsRegistry,
-    ) -> Self {
-        assert!(threads > 0, "need at least one worker thread");
-        let spec = ExperimentSpec::at_scale(scale);
-        let options = StudyOptions::new(configs, threads);
-        run_study(&spec, &options, metrics, &ggs_trace::NOOP)
-            .map(|outcome| outcome.study)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
     /// The report for one workload.
     pub fn report(&self, graph: &str, app: &str) -> Option<&WorkloadReport> {
         self.reports
@@ -392,12 +354,25 @@ impl Study {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiment::ExperimentSpec;
+    use crate::runner::{run_study, StudyOptions};
+    use ggs_trace::MetricsRegistry;
+
+    /// A tiny study at scale 0.004 on `threads` workers, recording into
+    /// `metrics`.
+    fn tiny_study(threads: usize, metrics: &MetricsRegistry) -> Study {
+        let spec = ExperimentSpec::at_scale(0.004);
+        let options = StudyOptions::new(ConfigSet::Figure5, threads);
+        run_study(&spec, &options, metrics, &ggs_trace::NOOP)
+            .unwrap()
+            .study
+    }
 
     /// A tiny smoke study; the full-scale study is exercised by the
     /// repro harness and integration tests.
     #[test]
     fn tiny_study_runs_and_serializes() {
-        let study = Study::run(0.004, ConfigSet::Figure5, 8);
+        let study = tiny_study(8, &MetricsRegistry::new());
         assert_eq!(study.reports.len(), 36);
         for r in &study.reports {
             assert!(!r.rows.is_empty());
@@ -414,9 +389,9 @@ mod tests {
     }
 
     #[test]
-    fn run_with_metrics_records_phases_and_counters() {
+    fn run_study_records_phases_and_counters() {
         let metrics = MetricsRegistry::new();
-        let study = Study::run_with_metrics(0.004, ConfigSet::Figure5, 4, &metrics);
+        let study = tiny_study(4, &metrics);
         assert_eq!(study.reports.len(), 36);
         assert_eq!(metrics.counter("workloads_simulated"), 36);
         assert_eq!(metrics.counter("study_workloads"), 36);
@@ -444,7 +419,7 @@ mod tests {
 
     #[test]
     fn report_lookup_and_metrics() {
-        let study = Study::run(0.004, ConfigSet::Figure5, 8);
+        let study = tiny_study(8, &MetricsRegistry::new());
         let r = study.report("RAJ", "PR").expect("workload present");
         assert_eq!(r.normalized(&r.baseline), 1.0);
         assert!(r.prediction_slowdown() >= 0.0);

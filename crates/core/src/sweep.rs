@@ -10,7 +10,7 @@ use ggs_sim::{CoherenceKind, ConsistencyModel, ExecStats};
 use ggs_trace::Tracer;
 
 use crate::error::GgsError;
-use crate::experiment::{run_workload_traced, ExperimentSpec};
+use crate::experiment::{run_workload_budgeted, ExperimentSpec};
 
 /// The result of one configuration point within a sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,39 +169,16 @@ pub fn hybrid_configs(app: AppKind) -> Vec<SystemConfig> {
 }
 
 impl WorkloadSweep {
-    /// Runs `app` on `graph` across `configs`.
+    /// Runs `app` on `graph` across `configs`, one
+    /// [`run_workload_budgeted`] call per configuration, every one
+    /// emitting through `tracer` and bounded by the spec's budget
+    /// (including its deadline, if set).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if any configuration's propagation is unsupported by
-    /// `app`. Prefer [`WorkloadSweep::try_run`] on paths that must not
-    /// panic.
+    /// The first failing configuration's error: an unsupported
+    /// propagation, or a budget/deadline breach.
     pub fn run(
-        app: AppKind,
-        graph_name: impl Into<String>,
-        graph: &Csr,
-        configs: &[SystemConfig],
-        spec: &ExperimentSpec,
-    ) -> Self {
-        Self::run_traced(app, graph_name, graph, configs, spec, Tracer::off())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`WorkloadSweep::run`].
-    pub fn try_run(
-        app: AppKind,
-        graph_name: impl Into<String>,
-        graph: &Csr,
-        configs: &[SystemConfig],
-        spec: &ExperimentSpec,
-    ) -> Result<Self, GgsError> {
-        Self::run_traced(app, graph_name, graph, configs, spec, Tracer::off())
-    }
-
-    /// Fallible, instrumented variant of [`WorkloadSweep::run`]: every
-    /// configuration's simulation emits through `tracer` (see
-    /// [`run_workload_traced`]).
-    pub fn run_traced(
         app: AppKind,
         graph_name: impl Into<String>,
         graph: &Csr,
@@ -212,7 +189,7 @@ impl WorkloadSweep {
         let results = configs
             .iter()
             .map(|&config| {
-                run_workload_traced(app, graph, config, spec, tracer)
+                run_workload_budgeted(app, graph, config, spec, tracer, None)
                     .map(|stats| ConfigResult { config, stats })
             })
             .collect::<Result<Vec<_>, _>>()?;
@@ -377,7 +354,9 @@ mod tests {
             &g,
             &hybrid_configs(AppKind::Sssp),
             &spec,
-        );
+            Tracer::off(),
+        )
+        .unwrap();
         assert_eq!(sweep.results.len(), 4);
         assert!(sweep.results.iter().all(|r| r.stats.total_cycles() > 0));
     }
@@ -409,7 +388,9 @@ mod tests {
             &g,
             &figure5_configs(AppKind::Pr),
             &spec,
-        );
+            Tracer::off(),
+        )
+        .unwrap();
         let norm = sweep.normalized_to(baseline_config(AppKind::Pr));
         assert_eq!(norm.len(), 5);
         let (_, base_val) = norm.iter().find(|(c, _)| c.code() == "TG0").unwrap();
@@ -439,7 +420,9 @@ mod more_tests {
             &graph(),
             &["TG0".parse().unwrap()],
             &spec,
-        );
+            Tracer::off(),
+        )
+        .unwrap();
         assert!(sweep.result_for("SGR".parse().unwrap()).is_none());
         assert!(sweep.result_for("TG0".parse().unwrap()).is_some());
     }
@@ -453,7 +436,9 @@ mod more_tests {
             &graph(),
             &figure5_configs(AppKind::Sssp),
             &spec,
-        );
+            Tracer::off(),
+        )
+        .unwrap();
         for r in &sweep.results {
             assert!(sweep.slowdown_vs_best(r.config) >= 0.0);
         }
@@ -469,19 +454,22 @@ mod more_tests {
             &graph(),
             &["SGR".parse().unwrap()],
             &spec,
-        );
+            Tracer::off(),
+        )
+        .unwrap();
         let _ = sweep.normalized_to("TG0".parse().unwrap());
     }
 
     #[test]
     fn try_variants_report_errors_instead_of_panicking() {
         let spec = ExperimentSpec::at_scale(0.02);
-        let sweep = WorkloadSweep::try_run(
+        let sweep = WorkloadSweep::run(
             AppKind::Pr,
             "chain",
             &graph(),
             &["SGR".parse().unwrap()],
             &spec,
+            Tracer::off(),
         )
         .unwrap();
         let err = sweep.try_normalized_to("TG0".parse().unwrap()).unwrap_err();
@@ -489,16 +477,18 @@ mod more_tests {
         assert!(sweep.try_slowdown_vs_best("TG0".parse().unwrap()).is_err());
         assert!(sweep.try_slowdown_vs_best("SGR".parse().unwrap()).is_ok());
         // Unsupported pairing surfaces as Err, not panic.
-        assert!(WorkloadSweep::try_run(
+        assert!(WorkloadSweep::run(
             AppKind::Cc,
             "chain",
             &graph(),
             &["SGR".parse().unwrap()],
             &spec,
+            Tracer::off(),
         )
         .is_err());
         // Empty sweep has no best.
-        let empty = WorkloadSweep::try_run(AppKind::Pr, "chain", &graph(), &[], &spec).unwrap();
+        let empty =
+            WorkloadSweep::run(AppKind::Pr, "chain", &graph(), &[], &spec, Tracer::off()).unwrap();
         assert!(empty.try_best().is_none());
     }
 
@@ -506,7 +496,15 @@ mod more_tests {
     fn full_config_set_sweep_runs() {
         let spec = ExperimentSpec::at_scale(0.02);
         let configs = ggs_model::SystemConfig::all_for(ggs_model::taxonomy::Traversal::Static);
-        let sweep = WorkloadSweep::run(AppKind::Mis, "chain", &graph(), &configs, &spec);
+        let sweep = WorkloadSweep::run(
+            AppKind::Mis,
+            "chain",
+            &graph(),
+            &configs,
+            &spec,
+            Tracer::off(),
+        )
+        .unwrap();
         assert_eq!(sweep.results.len(), 12);
         // Pull bars are hardware-insensitive on the consistency axis.
         let t = |code: &str| {

@@ -10,7 +10,6 @@
 //! cargo run --release --example adaptive_execution -- SSSP EML
 //! ```
 
-use ggs_core::adaptive::run_adaptive;
 use gpu_graph_spec::prelude::*;
 
 fn main() -> Result<(), GgsError> {
@@ -22,9 +21,10 @@ fn main() -> Result<(), GgsError> {
     let graph = SynthConfig::preset(preset).scale(scale).generate();
     let spec = ExperimentSpec::builder().scale(scale).build()?;
 
-    let adaptive = run_adaptive(app, &graph, &spec);
+    let adaptive = run_adaptive_budgeted(app, &graph, &spec, Tracer::off(), None)?;
+    let static_config = adaptive.static_config;
     let static_stats =
-        run_workload_traced(app, &graph, adaptive.static_config, &spec, Tracer::off())?;
+        run_workload_budgeted(app, &graph, static_config, &spec, Tracer::off(), None)?;
 
     println!("{app} on {preset} (scale {scale})");
     println!(

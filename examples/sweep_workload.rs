@@ -27,7 +27,14 @@ fn main() -> Result<(), GgsError> {
         profile.class_code()
     );
     let configs = SystemConfig::all_for(app.algo_profile().traversal);
-    let sweep = WorkloadSweep::try_run(app, preset.mnemonic(), &graph, &configs, &spec)?;
+    let sweep = WorkloadSweep::run(
+        app,
+        preset.mnemonic(),
+        &graph,
+        &configs,
+        &spec,
+        Tracer::off(),
+    )?;
 
     let baseline = baseline_config(app);
     let best = sweep

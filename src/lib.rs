@@ -26,17 +26,19 @@ pub use ggs_trace as trace;
 ///     .try_build()?;
 /// let spec = ExperimentSpec::builder().scale(0.05).build()?;
 /// let config: SystemConfig = "SGR".parse()?;
-/// let stats = run_workload_traced(AppKind::Pr, &graph, config, &spec, Tracer::off())?;
+/// let stats = run_workload_budgeted(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)?;
 /// assert!(stats.total_cycles() > 0);
 /// # Ok::<(), GgsError>(())
 /// ```
 pub mod prelude {
     pub use ggs_apps::{AppKind, Workload};
+    pub use ggs_core::adaptive::run_adaptive_budgeted;
     pub use ggs_core::error::GgsError;
     pub use ggs_core::experiment::{
-        run_workload, run_workload_profiled, run_workload_profiled_traced, run_workload_traced,
+        produce_trace_stream, run_stream_budgeted, run_workload_budgeted, run_workload_profiled,
         ExperimentSpec, ExperimentSpecBuilder,
     };
+    pub use ggs_core::runner::{run_study, StudyOptions};
     pub use ggs_core::study::{ConfigSet, Study, WorkloadReport};
     pub use ggs_core::sweep::{baseline_config, figure5_configs, WorkloadSweep};
     pub use ggs_graph::synth::{GraphPreset, SynthConfig};

@@ -55,6 +55,22 @@ fn bad_inputs_surface_as_typed_errors_across_the_api() {
     assert!(SystemParams::builder().build().is_ok());
     // Graph construction.
     assert!(GraphBuilder::new(4).edge(0, 9).try_build().is_err());
+    // Run budgets: a breach is a typed timeout, not partial statistics.
+    let chain = GraphBuilder::new(1024)
+        .edges((0..1023).map(|i| (i, i + 1)))
+        .symmetric(true)
+        .try_build()
+        .unwrap();
+    let capped = ExperimentSpec::builder()
+        .scale(0.05)
+        .max_kernels(1)
+        .build()
+        .unwrap();
+    let sgr: SystemConfig = "SGR".parse().unwrap();
+    let err =
+        run_workload_budgeted(AppKind::Pr, &chain, sgr, &capped, Tracer::off(), None).unwrap_err();
+    assert!(matches!(err, GgsError::Budget(_)), "{err}");
+    assert!(err.is_timeout());
 }
 
 #[test]
@@ -69,7 +85,7 @@ fn prelude_covers_the_experiment_workflow() {
         let spec = ExperimentSpec::builder().scale(0.02).build()?;
         let profile = GraphProfile::measure(&graph, &spec.metric_params());
         let config = predict_full(&AppKind::Pr.algo_profile(), &profile);
-        let stats = run_workload_traced(AppKind::Pr, &graph, config, &spec, Tracer::off())?;
+        let stats = run_workload_budgeted(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)?;
         Ok(stats.total_cycles())
     }
     assert!(workflow().unwrap() > 0);

@@ -4,7 +4,8 @@
 //! the `repro` harness.
 
 use ggs_apps::AppKind;
-use ggs_core::experiment::{run_workload, ExperimentSpec};
+use ggs_core::experiment::{run_workload_budgeted, ExperimentSpec};
+use ggs_core::Tracer;
 use ggs_graph::synth::{GraphPreset, SynthConfig};
 use ggs_model::SystemConfig;
 
@@ -18,7 +19,9 @@ fn cycles_at(scale: f64, app: AppKind, preset: GraphPreset, code: &str) -> u64 {
     let graph = SynthConfig::preset(preset).scale(scale).generate();
     let spec = ExperimentSpec::at_scale(scale);
     let cfg: SystemConfig = code.parse().expect("valid config");
-    run_workload(app, &graph, cfg, &spec).total_cycles()
+    run_workload_budgeted(app, &graph, cfg, &spec, Tracer::off(), None)
+        .expect("supported configuration")
+        .total_cycles()
 }
 
 /// §IV-A4 / Figure 5: Connected Components (dynamic traversal, racy
