@@ -9,10 +9,11 @@
 //!       [--trace-out PATH] [--trace-stride N]
 //!       [table1|table2|table3|table4|table5|fig5|fig6|partial|flexible|traffic|gsi|summary|check|hybrid|all]
 //! repro trace <app> <graph> <config> [--scale S] [--trace-out PATH] [--trace-stride N]
-//! repro study [--scale S] [--threads N] [--json PATH]
-//!             [--journal PATH] [--resume PATH] [--deadline-ms N]
+//! repro study [--scale S] [--threads N] [--json PATH] [--deadline-ms N]
 //!             [--max-kernels N] [--max-sim-cycles N] [--retries N]
 //!             [--inject-fault APP/GRAPH/CFG[=panic|hang|io]]...
+//!             [--store PATH] [--store-compact] [--lease-ttl-ms N]
+//!             [--inject-store-fault torn[:BYTES]|short|crc|lock]...
 //! repro bench [--iters N] [--smoke] [--out PATH]
 //!             [--baseline PATH] [--threshold PCT] [--tier NAME]...
 //! repro verify [--cell CODE]... [--smoke] [--mutations]
@@ -34,8 +35,9 @@
 //! runner (see docs/robustness.md): per-cell panic isolation, watchdog
 //! budgets (`--max-kernels`, `--max-sim-cycles`, `--deadline-ms`),
 //! bounded retries for transient I/O errors, and checkpoint/resume via
-//! an append-only JSONL journal (`--journal` to write, `--resume` to
-//! skip already-completed cells). Failed or timed-out cells are
+//! the crash-safe result store (`--store PATH`: completed cells are
+//! published as they finish, and a re-run against the same store skips
+//! them). Failed or timed-out cells are
 //! reported individually and the partial Figure 5/6 output is rendered
 //! from the surviving cells; the exit status is 0 as long as the study
 //! itself completes. `--inject-fault` sabotages named cells for testing
@@ -99,8 +101,6 @@ fn main() {
     let mut trace_out: Option<String> = None;
     let mut trace_stride = 1000u64;
     let mut check_extended = false;
-    let mut journal_path: Option<String> = None;
-    let mut resume_path: Option<String> = None;
     let mut deadline_ms: Option<u64> = None;
     let mut max_kernels: Option<u64> = None;
     let mut max_sim_cycles: Option<u64> = None;
@@ -157,12 +157,6 @@ fn main() {
             }
             "--all" => {
                 check_extended = true;
-            }
-            "--journal" => {
-                journal_path = Some(args.next().unwrap_or_else(|| die("--journal needs a path")));
-            }
-            "--resume" => {
-                resume_path = Some(args.next().unwrap_or_else(|| die("--resume needs a path")));
             }
             "--deadline-ms" => {
                 deadline_ms = Some(
@@ -289,7 +283,7 @@ fn main() {
                 );
                 println!(
                     "       repro study [--scale S] [--threads N] [--json PATH] \
-                     [--journal PATH] [--resume PATH] [--deadline-ms N] [--max-kernels N] \
+                     [--deadline-ms N] [--max-kernels N] \
                      [--max-sim-cycles N] [--retries N] \
                      [--inject-fault APP/GRAPH/CFG[=panic|hang|io]]... \
                      [--store PATH] [--store-compact] [--lease-ttl-ms N] \
@@ -297,12 +291,12 @@ fn main() {
                 );
                 println!(
                     "  study    run the 36-workload study fault-tolerantly: failed cells \
-                     are isolated and reported, budgets bound runaway cells, completed \
-                     cells checkpoint to --journal and --resume skips them; --store \
-                     shares a crash-safe content-addressed result store across runs and \
-                     processes (cells already solved are never re-simulated, leases \
-                     partition concurrent sweeps, --store-compact rewrites the store \
-                     after the run) (docs/robustness.md)"
+                     are isolated and reported, budgets bound runaway cells; --store \
+                     checkpoints to a crash-safe content-addressed result store shared \
+                     across runs and processes (re-running against it resumes: cells \
+                     already solved are never re-simulated, leases partition concurrent \
+                     sweeps, --store-compact rewrites the store after the run) \
+                     (docs/robustness.md)"
                 );
                 println!(
                     "       repro bench [--iters N] [--smoke] [--out PATH] \
@@ -327,6 +321,7 @@ fn main() {
                 );
                 return;
             }
+            s if s.starts_with("--") => die(&format!("unknown flag {s} (see --help)")),
             s => sections.push(s.to_owned()),
         }
     }
@@ -374,8 +369,6 @@ fn main() {
             threads,
             json_path,
             trace_out,
-            journal_path,
-            resume_path,
             deadline_ms,
             max_kernels,
             max_sim_cycles,
@@ -593,8 +586,6 @@ struct StudyCmd {
     threads: usize,
     json_path: Option<String>,
     trace_out: Option<String>,
-    journal_path: Option<String>,
-    resume_path: Option<String>,
     deadline_ms: Option<u64>,
     max_kernels: Option<u64>,
     max_sim_cycles: Option<u64>,
@@ -639,8 +630,6 @@ fn study_cmd(cmd: &StudyCmd) {
         };
     }
     options.faults = faults;
-    options.journal_path = cmd.journal_path.as_ref().map(std::path::PathBuf::from);
-    options.resume_from = cmd.resume_path.as_ref().map(std::path::PathBuf::from);
 
     if cmd.store_path.is_none() && (cmd.store_compact || !cmd.inject_store_faults.is_empty()) {
         die("--store-compact and --inject-store-fault require --store");
@@ -699,9 +688,6 @@ fn study_cmd(cmd: &StudyCmd) {
         "[repro] study finished in {:.1}s",
         start.elapsed().as_secs_f64()
     );
-    if let Some(e) = &outcome.journal_error {
-        eprintln!("[repro] warning: journal degraded, checkpoints incomplete: {e}");
-    }
 
     for cell in &outcome.study.failures {
         println!(
@@ -721,9 +707,6 @@ fn study_cmd(cmd: &StudyCmd) {
         timeout,
         skipped
     );
-    if let Some((entries, skipped_lines)) = outcome.journal_loaded {
-        println!("journal: {entries} entries, {skipped_lines} skipped");
-    }
     if let Some(report) = &outcome.store_report {
         println!(
             "store: {} records, {} corrupt span(s) ({} bytes skipped)",

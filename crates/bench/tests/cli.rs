@@ -89,13 +89,32 @@ fn help_and_bad_flags() {
         .output()
         .expect("runs");
     assert!(!bad.status.success(), "missing --scale value must fail");
+    // Unknown flags are named, not mistaken for sections or operands.
+    for args in [
+        &["study", "--journal", "x"][..],
+        &["--jsn", "out", "fig5"][..],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(args)
+            .output()
+            .expect("runs");
+        assert_eq!(out.status.code(), Some(2), "repro {args:?} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        let flag = args.iter().find(|a| a.starts_with("--")).expect("a flag");
+        assert!(
+            stderr.contains(&format!("unknown flag {flag}")),
+            "repro {args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]
-fn study_isolates_injected_faults_and_resumes_from_its_journal() {
-    let journal = std::env::temp_dir().join(format!("ggs-cli-study-{}.jsonl", std::process::id()));
-    let _ = std::fs::remove_file(&journal);
-    let journal = journal.to_str().expect("utf8 temp path");
+fn study_isolates_injected_faults_and_resumes_from_its_store() {
+    let store = std::env::temp_dir().join(format!("ggs-cli-study-{}.store", std::process::id()));
+    let lock = format!("{}.lock", store.display());
+    let _ = std::fs::remove_file(&store);
+    let _ = std::fs::remove_file(&lock);
+    let store = store.to_str().expect("utf8 temp path");
 
     // An injected panic must not take the study down: exit 0, the cell
     // reported, everything else completed and checkpointed.
@@ -105,8 +124,8 @@ fn study_isolates_injected_faults_and_resumes_from_its_journal() {
         "0.004",
         "--threads",
         "8",
-        "--journal",
-        journal,
+        "--store",
+        store,
         "--inject-fault",
         "PR/AMZ/SGR",
     ]);
@@ -118,21 +137,22 @@ fn study_isolates_injected_faults_and_resumes_from_its_journal() {
     // The degraded Figure 5 still renders, minus the failed bar.
     assert!(out.contains("Figure 5"), "{out}");
 
-    // Resuming re-runs only the missing cell.
+    // Re-running against the store re-runs only the missing cell.
     let out = repro(&[
         "study",
         "--scale",
         "0.004",
         "--threads",
         "8",
-        "--resume",
-        journal,
+        "--store",
+        store,
     ]);
     assert!(
         out.contains("1 ok, 0 failed, 0 timeout, 173 skipped"),
         "{out}"
     );
-    let _ = std::fs::remove_file(journal);
+    let _ = std::fs::remove_file(store);
+    let _ = std::fs::remove_file(&lock);
 }
 
 #[test]

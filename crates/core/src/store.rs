@@ -1,13 +1,12 @@
 //! Durable, crash-safe, content-addressed result store shared across
 //! studies and processes.
 //!
-//! The PR 3 journal (`crate::runner::Journal`) checkpoints one study
-//! into one JSONL file. The ROADMAP's sweep-as-a-service item needs
-//! more: repeated cells must be *simulated once, ever*, across many
+//! [`Store`] is the study runner's one checkpoint/resume mechanism
+//! (`crate::runner::StudyOptions::store`, `repro study --store`).
+//! Repeated cells are *simulated once, ever*, across many
 //! `repro study` / `repro bench` invocations, possibly running
-//! concurrently, and the file they share must survive being killed
-//! mid-write, truncated, or bit-flipped. [`Store`] is that shared
-//! substrate:
+//! concurrently, and the file they share survives being killed
+//! mid-write, truncated, or bit-flipped:
 //!
 //! * **Content addressing** — records are keyed by the
 //!   [`crate::runner::spec_hash`] of the experiment (app set, graph

@@ -1,5 +1,7 @@
-//! Crash-recovery and multi-runner harness for the content-addressed
-//! result store (`ggs_core::store`, docs/robustness.md):
+//! Crash-recovery, resume and multi-runner harness for the
+//! content-addressed result store (`ggs_core::store`,
+//! docs/robustness.md), the study runner's one checkpoint/resume
+//! mechanism:
 //!
 //! * truncating a valid store at **every byte offset** never panics
 //!   the loader and recovers exactly the records whose frames survived;
@@ -8,15 +10,20 @@
 //! * a study sabotaged by injected panic + torn-write faults and then
 //!   re-run from the store reproduces the uninterrupted results byte
 //!   for byte, as does a re-run from a store truncated at adversarial
-//!   offsets;
+//!   offsets — which skips exactly the cells the surviving prefix holds
+//!   and re-simulates only the missing ones;
+//! * a corrupt record in the middle of a store is reported through
+//!   `StudyOutcome::store_report` and the study is still byte-identical;
 //! * two concurrent runners sharing one store complete the sweep with
 //!   **no cell simulated twice**.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use ggs_core::runner::{run_study, CellStatus, Fault, FaultPlan, StudyOptions, StudyOutcome};
-use ggs_core::store::{Store, StoreFaults};
+use ggs_core::runner::{
+    run_study, spec_hash, CellStatus, Fault, FaultPlan, StudyOptions, StudyOutcome,
+};
+use ggs_core::store::{versioned_spec_hash, Store, StoreFaults};
 use ggs_core::study::{ConfigSet, ResultRow};
 use ggs_core::{ExperimentSpec, MetricsRegistry};
 use ggs_trace::{JsonlSink, NOOP};
@@ -171,9 +178,10 @@ fn faulted_run_resumed_from_store_is_byte_identical() {
     assert_eq!(second.study.to_json(), clean.study.to_json());
 }
 
-/// Satellite: resuming from a store truncated at adversarial offsets
-/// (inside the header, mid-record, exactly on a frame boundary) still
-/// reproduces the uninterrupted study byte for byte.
+/// Resuming from a store truncated at adversarial offsets (inside the
+/// header, mid-record, exactly on a frame boundary) skips exactly the
+/// cells whose results survived, re-simulates only the missing ones,
+/// and reproduces the uninterrupted study byte for byte.
 #[test]
 fn truncated_store_resume_is_byte_identical() {
     let spec = budgeted_spec();
@@ -184,6 +192,7 @@ fn truncated_store_resume_is_byte_identical() {
         .expect("warm-up run");
     assert!(warm.study.failures.is_empty());
     let bytes = std::fs::read(&path).expect("read store");
+    let hash = versioned_spec_hash(&spec_hash(&spec, ConfigSet::Figure5));
 
     // Offsets: inside the header, just past it, mid-file (mid-record
     // with near certainty), and one byte short of the full file.
@@ -191,15 +200,23 @@ fn truncated_store_resume_is_byte_identical() {
     for cut in cuts {
         let cut_path = temp_path("truncate-resume-cut.store");
         std::fs::write(&cut_path, &bytes[..cut]).expect("write truncation");
-        let resumed = run_study(
-            &spec,
-            &store_options(&cut_path),
-            &MetricsRegistry::new(),
-            &NOOP,
-        )
-        .expect("resumed run");
-        let (_, failed, timeout, _) = resumed.counts();
+        let store = Store::open(&cut_path).expect("open truncated store");
+        let survived = store
+            .load()
+            .expect("load truncated store")
+            .completed_for(&hash)
+            .len();
+        let mut opts = options();
+        opts.store = Some(store);
+        let resumed = run_study(&spec, &opts, &MetricsRegistry::new(), &NOOP).expect("resumed run");
+        let (ok, failed, timeout, skipped) = resumed.counts();
         assert_eq!((failed, timeout), (0, 0), "cut at byte {cut}");
+        assert_eq!(skipped, survived, "cut at byte {cut}: every survivor skips");
+        assert_eq!(
+            ok + skipped,
+            clean.cells.len(),
+            "cut at byte {cut}: only missing cells re-ran"
+        );
         assert_eq!(resumed.study, clean.study, "cut at byte {cut}");
         assert_eq!(
             resumed.study.to_json(),
@@ -319,33 +336,45 @@ fn retry_backoff_jitter_is_deterministic_and_bounded() {
     assert!(diverged, "different seeds must produce different schedules");
 }
 
-/// Journal corruption is counted, not silent (satellite): malformed
-/// lines surface in the load result and the study outcome.
+/// Store corruption is counted, not silent: a bit-flipped result in
+/// the middle of a warm store surfaces as a corrupt span on
+/// `StudyOutcome::store_report`, only the damaged cell re-simulates,
+/// and the study is byte-identical to the clean one.
 #[test]
-fn journal_skipped_lines_are_counted_and_surfaced() {
-    use ggs_core::runner::Journal;
-
+fn corrupt_store_records_are_surfaced_by_the_study() {
     let spec = budgeted_spec();
-    let journal_path = temp_path("skip-count.journal");
-    let mut first = options();
-    first.journal_path = Some(journal_path.clone());
-    let first = run_study(&spec, &first, &MetricsRegistry::new(), &NOOP).expect("journaled run");
+    let path = temp_path("corrupt-record.store");
+    let first = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &NOOP)
+        .expect("warm-up run");
     assert!(first.study.failures.is_empty());
+    assert!(first
+        .store_report
+        .as_ref()
+        .is_some_and(|r| r.corrupt.is_empty()));
 
-    // Corrupt the journal: one garbage line, one truncated JSON line.
-    let mut text = std::fs::read_to_string(&journal_path).expect("read journal");
-    let keep = text.lines().count();
-    text.push_str("definitely-not-json\n");
-    text.push_str("{\"app\":\"PR\",\"graph\":\"AMZ\"\n");
-    std::fs::write(&journal_path, &text).expect("rewrite journal");
+    // Flip one payload byte of the first result record; later records
+    // keep the damage mid-file, so opening the store cannot truncate it.
+    let mut bytes = std::fs::read(&path).expect("read store");
+    let needle = b"\"kind\":\"result\"";
+    let at = bytes
+        .windows(needle.len())
+        .position(|w| w == needle)
+        .expect("a result record");
+    bytes[at + needle.len() - 2] ^= 0x01;
+    std::fs::write(&path, &bytes).expect("rewrite store");
 
-    let journal = Journal::load(&journal_path).expect("tolerant load");
-    assert_eq!(journal.entries.len(), keep);
-    assert_eq!(journal.skipped, 2, "both corrupt lines counted");
-
-    let mut resumed = options();
-    resumed.resume_from = Some(journal_path);
-    let resumed = run_study(&spec, &resumed, &MetricsRegistry::new(), &NOOP).expect("resumed run");
-    assert_eq!(resumed.journal_loaded, Some((keep, 2)));
+    let resumed = run_study(&spec, &store_options(&path), &MetricsRegistry::new(), &NOOP)
+        .expect("study over a corrupt store");
+    let report = resumed.store_report.as_ref().expect("store report");
+    assert!(!report.corrupt.is_empty(), "corrupt span reported");
+    assert!(report.corrupt_bytes() > 0, "skipped bytes counted");
+    let (ok, failed, timeout, skipped) = resumed.counts();
+    assert_eq!(
+        (ok, failed, timeout),
+        (1, 0, 0),
+        "only the damaged cell re-ran"
+    );
+    assert_eq!(skipped, resumed.cells.len() - 1);
     assert_eq!(resumed.study, first.study);
+    assert_eq!(resumed.study.to_json(), first.study.to_json());
 }
