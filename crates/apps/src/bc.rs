@@ -70,9 +70,10 @@ fn forward(graph: &Csr) -> (Vec<u32>, Vec<u64>) {
 /// let g = GraphBuilder::new(3)
 ///     .edges([(0, 1), (1, 2)])
 ///     .symmetric(true)
-///     .build();
+///     .try_build()?;
 /// let scores = bc::reference(&g);
 /// assert!(scores[1] > scores[2]);
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 pub fn reference(graph: &Csr) -> Vec<f64> {
     let n = graph.num_vertices() as usize;
@@ -250,7 +251,8 @@ mod tests {
         GraphBuilder::new(n)
             .edges((0..n - 1).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build()
+            .try_build()
+            .unwrap()
     }
 
     #[test]
@@ -267,7 +269,8 @@ mod tests {
         let g = GraphBuilder::new(10)
             .edges((1..10).map(|i| (0, i)))
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         let scores = reference(&g);
         for score in &scores[1..10] {
             assert_eq!(*score, 0.0);
@@ -280,7 +283,8 @@ mod tests {
         let g = GraphBuilder::new(4)
             .edges([(0, 1), (0, 2), (1, 3), (2, 3)])
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         let scores = reference(&g);
         assert!((scores[1] - 0.5).abs() < 1e-12);
         assert!((scores[2] - 0.5).abs() < 1e-12);
@@ -291,7 +295,8 @@ mod tests {
         let g = GraphBuilder::new(4)
             .edges([(0, 1), (0, 2), (1, 3), (2, 3)])
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         let (level, sigma) = forward(&g);
         assert_eq!(level, vec![0, 1, 1, 2]);
         assert_eq!(sigma, vec![1, 1, 1, 2]);

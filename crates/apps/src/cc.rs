@@ -33,11 +33,12 @@ pub const SHORTCUT_ROUNDS: u32 = 2;
 /// use ggs_apps::cc;
 /// use ggs_graph::GraphBuilder;
 ///
-/// let g = GraphBuilder::new(4).edge(0, 1).edge(2, 3).symmetric(true).build();
+/// let g = GraphBuilder::new(4).edge(0, 1).edge(2, 3).symmetric(true).try_build()?;
 /// let labels = cc::reference(&g);
 /// assert_eq!(labels[0], labels[1]);
 /// assert_ne!(labels[0], labels[2]);
 /// assert_eq!(labels[2], labels[3]);
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 pub fn reference(graph: &Csr) -> Vec<u32> {
     let n = graph.num_vertices();
@@ -177,7 +178,8 @@ mod tests {
         let g = GraphBuilder::new(6)
             .edges([(0, 1), (1, 2), (3, 4), (4, 5)])
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         let l = reference(&g);
         assert_eq!(l[0], l[2]);
         assert_eq!(l[3], l[5]);
@@ -195,7 +197,8 @@ mod tests {
         let g = GraphBuilder::new(5)
             .edges([(4, 2), (2, 0)])
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         let l = reference(&g);
         assert_eq!(l[4], 0);
         assert_eq!(l[2], 0);
@@ -206,7 +209,8 @@ mod tests {
         let g = GraphBuilder::new(16)
             .edges((0..15).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         let mut kernels = 0;
         let mut returning = 0u64;
         let mut plain = 0u64;
@@ -236,7 +240,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "dynamic traversal")]
     fn rejects_static_variants() {
-        let g = GraphBuilder::new(4).edge(0, 1).symmetric(true).build();
+        let g = GraphBuilder::new(4)
+            .edge(0, 1)
+            .symmetric(true)
+            .try_build()
+            .unwrap();
         generate(&g, Propagation::Push, 256, &mut |_| {});
     }
 
@@ -248,7 +256,8 @@ mod tests {
         let g = GraphBuilder::new(200)
             .edges((0..199).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         let mut lens = Vec::new();
         generate(&g, Propagation::PushPull, 256, &mut |k| {
             lens.push(k.total_ops());

@@ -45,10 +45,11 @@ fn value(v: u32) -> u64 {
 /// let g = GraphBuilder::new(3)
 ///     .edges([(0, 1), (1, 2), (2, 0)])
 ///     .symmetric(true)
-///     .build();
+///     .try_build()?;
 /// let colors = clr::reference(&g);
 /// assert_ne!(colors[0], colors[1]);
 /// assert_ne!(colors[1], colors[2]);
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 pub fn reference(graph: &Csr) -> Vec<u32> {
     snapshots(graph).pop().unwrap_or_default()
@@ -213,7 +214,8 @@ mod tests {
         GraphBuilder::new(n)
             .edges((0..n).map(|i| (i, (i + 1) % n)))
             .symmetric(true)
-            .build()
+            .try_build()
+            .unwrap()
     }
 
     fn assert_proper(graph: &Csr, colors: &[u32]) {

@@ -87,7 +87,8 @@ mod tests {
         let g = GraphBuilder::new(10)
             .edges((0..9).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build()
+            .try_build()
+            .unwrap()
             .with_hashed_weights(8);
         let mut space = AddressSpace::new(64);
         let arrays = GraphArrays::new(&mut space, &g);

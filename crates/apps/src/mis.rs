@@ -57,10 +57,11 @@ fn priority(v: u32) -> u64 {
 /// use ggs_apps::mis::{reference, Status};
 /// use ggs_graph::GraphBuilder;
 ///
-/// let g = GraphBuilder::new(2).edge(0, 1).symmetric(true).build();
+/// let g = GraphBuilder::new(2).edge(0, 1).symmetric(true).try_build()?;
 /// let s = reference(&g);
 /// // Exactly one endpoint of a single edge joins the set.
 /// assert_eq!(s.iter().filter(|&&x| x == Status::In).count(), 1);
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 pub fn reference(graph: &Csr) -> Vec<Status> {
     rounds(graph).pop().unwrap_or_default()
@@ -235,7 +236,8 @@ mod tests {
         GraphBuilder::new(n)
             .edges((0..n).map(|i| (i, (i + 1) % n)))
             .symmetric(true)
-            .build()
+            .try_build()
+            .unwrap()
     }
 
     fn assert_valid_mis(graph: &Csr, status: &[Status]) {
@@ -271,7 +273,8 @@ mod tests {
         let g = GraphBuilder::new(20)
             .edges((1..20).map(|i| (0, i)))
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         assert_valid_mis(&g, &reference(&g));
     }
 

@@ -11,8 +11,13 @@ use ggs_sim::trace::MicroOp;
 /// Strategy: an arbitrary normalized (symmetric, loop-free) graph.
 fn graphs(max_v: u32) -> impl Strategy<Value = Csr> {
     (2..=max_v).prop_flat_map(|n| {
-        prop::collection::vec((0..n, 0..n), 1..400)
-            .prop_map(move |edges| GraphBuilder::new(n).edges(edges).symmetric(true).build())
+        prop::collection::vec((0..n, 0..n), 1..400).prop_map(move |edges| {
+            GraphBuilder::new(n)
+                .edges(edges)
+                .symmetric(true)
+                .try_build()
+                .unwrap()
+        })
     })
 }
 

@@ -12,19 +12,20 @@ use ggs_sim::params::SystemParams;
 use ggs_sim::trace::{KernelTrace, MicroOp};
 
 fn params() -> SystemParams {
-    SystemParams::default().scaled_caches(0.125)
+    SystemParams::default().try_scaled_caches(0.125).unwrap()
 }
 
 /// Dense (coalesced) vs. scattered loads: the push-vs-pull access
 /// pattern difference in isolation.
 fn bench_coalescing(c: &mut Criterion) {
-    let dense = KernelTrace::new(
+    let dense = KernelTrace::try_new(
         (0..4096u64)
             .map(|t| (0..8).map(|k| MicroOp::load((t * 8 + k) * 4)).collect())
             .collect(),
         256,
-    );
-    let scattered = KernelTrace::new(
+    )
+    .unwrap();
+    let scattered = KernelTrace::try_new(
         (0..4096u64)
             .map(|t| {
                 (0..8)
@@ -33,7 +34,8 @@ fn bench_coalescing(c: &mut Criterion) {
             })
             .collect(),
         256,
-    );
+    )
+    .unwrap();
     let mut group = c.benchmark_group("ablation/coalescing");
     group.sample_size(20);
     group.warm_up_time(Duration::from_millis(500));
@@ -54,7 +56,7 @@ fn bench_coalescing(c: &mut Criterion) {
 /// Atomic ordering ablation: the same atomic-heavy kernel under each
 /// consistency model (the DRF0 → DRF1 → DRFrlx ladder of Table I).
 fn bench_consistency_ladder(c: &mut Criterion) {
-    let kernel = KernelTrace::new(
+    let kernel = KernelTrace::try_new(
         (0..4096u64)
             .map(|t| {
                 (0..8)
@@ -63,7 +65,8 @@ fn bench_consistency_ladder(c: &mut Criterion) {
             })
             .collect(),
         256,
-    );
+    )
+    .unwrap();
     let mut group = c.benchmark_group("ablation/consistency");
     group.sample_size(20);
     group.warm_up_time(Duration::from_millis(500));
@@ -85,7 +88,7 @@ fn bench_consistency_ladder(c: &mut Criterion) {
 /// targets (each SM keeps ownership) versus fully-shared hot words
 /// (ownership bounces between SMs).
 fn bench_ownership(c: &mut Criterion) {
-    let local = KernelTrace::new(
+    let local = KernelTrace::try_new(
         (0..4096u64)
             .map(|t| {
                 let block_base = (t / 256) * 256;
@@ -95,8 +98,9 @@ fn bench_ownership(c: &mut Criterion) {
             })
             .collect(),
         256,
-    );
-    let shared = KernelTrace::new(
+    )
+    .unwrap();
+    let shared = KernelTrace::try_new(
         (0..4096u64)
             .map(|t| {
                 (0..8)
@@ -105,7 +109,8 @@ fn bench_ownership(c: &mut Criterion) {
             })
             .collect(),
         256,
-    );
+    )
+    .unwrap();
     let mut group = c.benchmark_group("ablation/denovo_ownership");
     group.sample_size(20);
     group.warm_up_time(Duration::from_millis(500));
@@ -131,7 +136,7 @@ fn bench_scheduler(c: &mut Criterion) {
     let threads: Vec<Vec<MicroOp>> = (0..2048u64)
         .map(|t| (0..16).map(|k| MicroOp::store((t * 16 + k) * 4)).collect())
         .collect();
-    let kernel = KernelTrace::new(threads, 256);
+    let kernel = KernelTrace::try_new(threads, 256).unwrap();
     let mut group = c.benchmark_group("ablation/scheduler");
     group.sample_size(20);
     group.warm_up_time(Duration::from_millis(500));

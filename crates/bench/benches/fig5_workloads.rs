@@ -18,7 +18,7 @@ use ggs_trace::Tracer;
 const SCALE: f64 = 0.02;
 
 fn bench_workloads(c: &mut Criterion) {
-    let spec = ExperimentSpec::at_scale(SCALE);
+    let spec = ExperimentSpec::try_at_scale(SCALE).unwrap();
     // DCT is the smallest medium-class input: representative and quick.
     let graph = SynthConfig::preset(GraphPreset::Dct)
         .scale(SCALE)
@@ -49,7 +49,7 @@ fn bench_workloads(c: &mut Criterion) {
 fn bench_imbalanced_input(c: &mut Criterion) {
     // EML is the imbalance showcase (Figure 5's biggest DRF1-vs-DRFrlx
     // gaps); track the push pair explicitly.
-    let spec = ExperimentSpec::at_scale(SCALE);
+    let spec = ExperimentSpec::try_at_scale(SCALE).unwrap();
     let graph = SynthConfig::preset(GraphPreset::Eml)
         .scale(SCALE)
         .generate();

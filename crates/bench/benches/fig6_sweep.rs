@@ -15,7 +15,7 @@ use ggs_trace::Tracer;
 
 fn bench_sweep_row(c: &mut Criterion) {
     let scale = 0.02;
-    let spec = ExperimentSpec::at_scale(scale);
+    let spec = ExperimentSpec::try_at_scale(scale).unwrap();
     let graph = SynthConfig::preset(GraphPreset::Raj)
         .scale(scale)
         .generate();
@@ -30,8 +30,10 @@ fn bench_sweep_row(c: &mut Criterion) {
             let sweep =
                 WorkloadSweep::run(AppKind::Mis, "RAJ", &graph, &configs, &spec, Tracer::off())
                     .expect("figure 5 configs are supported");
-            let best = sweep.best().config;
-            let norm = sweep.normalized_to(baseline_config(AppKind::Mis));
+            let best = sweep.try_best().unwrap().config;
+            let norm = sweep
+                .try_normalized_to(baseline_config(AppKind::Mis))
+                .unwrap();
             (best, norm.len())
         })
     });

@@ -388,10 +388,11 @@ impl BenchReport {
 /// the shim-criterion [`Bencher`] and the best iteration is kept.
 /// `progress` receives one human-readable line per cell. The grid and
 /// tier arms are separate ([`run_grid`], [`run_tier`]); the returned
-/// report carries none until the caller fills them in.
-pub fn run_slice(iters: u32, progress: &mut dyn FnMut(&str)) -> BenchReport {
+/// report carries none until the caller fills them in. Returns an
+/// error if [`BENCH_SCALE`] is not a valid experiment scale.
+pub fn run_slice(iters: u32, progress: &mut dyn FnMut(&str)) -> Result<BenchReport, String> {
     let graph = rmat_graph(14, BENCH_SCALE);
-    let spec = ExperimentSpec::at_scale(BENCH_SCALE);
+    let spec = ExperimentSpec::try_at_scale(BENCH_SCALE).map_err(|e| e.to_string())?;
     let mut cells = Vec::with_capacity(SLICE.len());
     for (app, code) in SLICE {
         let config: SystemConfig = code.parse().expect("slice config codes are valid");
@@ -425,14 +426,14 @@ pub fn run_slice(iters: u32, progress: &mut dyn FnMut(&str)) -> BenchReport {
             kernels: stats.kernels,
         });
     }
-    BenchReport {
+    Ok(BenchReport {
         scale: BENCH_SCALE,
         iters: iters.max(1),
         cells,
         grid: None,
         tiers: Vec::new(),
         peak_rss_kb: peak_rss_kb(),
-    }
+    })
 }
 
 /// Sweeps [`GRID_APP`] across the full twelve-configuration static
@@ -440,9 +441,10 @@ pub fn run_slice(iters: u32, progress: &mut dyn FnMut(&str)) -> BenchReport {
 /// built once per traversal direction and replayed for every
 /// coherence × consistency cell of that direction, exactly as the
 /// study runner does (docs/performance.md, "Sweep-level reuse").
-pub fn run_grid(progress: &mut dyn FnMut(&str)) -> GridTiming {
+/// Returns an error if [`BENCH_SCALE`] is not a valid experiment scale.
+pub fn run_grid(progress: &mut dyn FnMut(&str)) -> Result<GridTiming, String> {
     let graph = rmat_graph(14, BENCH_SCALE);
-    let spec = ExperimentSpec::at_scale(BENCH_SCALE);
+    let spec = ExperimentSpec::try_at_scale(BENCH_SCALE).map_err(|e| e.to_string())?;
     let graph_fp = graph_fingerprint(&graph);
     let configs: Vec<SystemConfig> = GRID_CONFIGS
         .iter()
@@ -523,7 +525,7 @@ pub fn run_grid(progress: &mut dyn FnMut(&str)) -> GridTiming {
         stats.misses,
         stats.hits,
     ));
-    timing
+    Ok(timing)
 }
 
 /// Runs one scale tier: PR under SGR on the named `rmat<N>` graph

@@ -763,9 +763,9 @@ fn bench_cmd(
         SLICE.len()
     );
     let mut progress = |line: &str| eprintln!("[repro]   {line}");
-    let mut report = run_slice(iters, &mut progress);
+    let mut report = run_slice(iters, &mut progress).unwrap_or_else(|e| die(&e));
     eprintln!("[repro] sweeping the 12-configuration grid with a shared trace cache…");
-    report.grid = Some(run_grid(&mut progress));
+    report.grid = Some(run_grid(&mut progress).unwrap_or_else(|e| die(&e)));
     let tier_names: Vec<&str> = if tiers.is_empty() {
         TIERS.to_vec()
     } else {
@@ -933,7 +933,9 @@ fn check(scale: f64, extended: bool) {
 
     println!();
     println!("== Check: dynamic protocol invariants (coherence x consistency grid) ==");
-    let params = SystemParams::default().scaled_caches(scale);
+    let params = SystemParams::default()
+        .try_scaled_caches(scale)
+        .unwrap_or_else(|e| die(&e.to_string()));
     let apps = AppKind::ALL
         .into_iter()
         .chain(extended.then_some(AppKind::EXTENDED).into_iter().flatten());
@@ -977,7 +979,7 @@ fn hybrid(scale: f64) {
     use ggs_trace::Tracer;
 
     println!("== Hybrid: frontier-adaptive push/pull vs best static (scale {scale}) ==");
-    let spec = ExperimentSpec::at_scale(scale);
+    let spec = ExperimentSpec::try_at_scale(scale).unwrap_or_else(|e| die(&e.to_string()));
     let mut t = TextTable::new([
         "Workload",
         "best static",
@@ -1150,7 +1152,9 @@ fn table3() {
 /// Table IV: simulated system parameters.
 fn table4(scale: f64) {
     println!("== Table IV: simulated system parameters (scale {scale}) ==");
-    let p = SystemParams::default().scaled_caches(scale);
+    let p = SystemParams::default()
+        .try_scaled_caches(scale)
+        .unwrap_or_else(|e| die(&e.to_string()));
     let mut t = TextTable::new(["Parameter", "Value"]);
     t.row(["GPU CUs (SMs)", &p.num_sms.to_string()]);
     t.row([
@@ -1314,7 +1318,7 @@ fn traffic(scale: f64) {
     use ggs_trace::Tracer;
 
     println!("== NoC traffic per configuration (PR on OLS and EML) ==");
-    let spec = ExperimentSpec::at_scale(scale);
+    let spec = ExperimentSpec::try_at_scale(scale).unwrap_or_else(|e| die(&e.to_string()));
     let mut t = TextTable::new([
         "Workload",
         "Config",
@@ -1351,7 +1355,7 @@ fn gsi(scale: f64) {
     use ggs_trace::Tracer;
 
     println!("== Per-data-structure attribution (GSI-style) ==");
-    let spec = ExperimentSpec::at_scale(scale);
+    let spec = ExperimentSpec::try_at_scale(scale).unwrap_or_else(|e| die(&e.to_string()));
     for (app, preset, code) in [
         (AppKind::Pr, GraphPreset::Eml, "SGR"),
         (AppKind::Cc, GraphPreset::Raj, "DD1"),

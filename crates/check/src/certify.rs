@@ -308,7 +308,8 @@ mod tests {
         GraphBuilder::new(n)
             .edges((0..n).map(|i| (i, (i + 1) % n)))
             .symmetric(true)
-            .build()
+            .try_build()
+            .unwrap()
     }
 
     #[test]
@@ -344,10 +345,11 @@ mod tests {
 
     #[test]
     fn contract_rejects_plain_shared_write_in_push() {
-        let kernel = KernelTrace::new(
+        let kernel = KernelTrace::try_new(
             vec![vec![MicroOp::store(64)], vec![MicroOp::atomic(64)]],
             256,
-        );
+        )
+        .unwrap();
         let analysis = analyze_kernel(&kernel, ConsistencyModel::Drf1);
         let v = check_kernel_contract(&analysis, Propagation::Push, 0, &[]);
         assert!(
@@ -359,13 +361,14 @@ mod tests {
 
     #[test]
     fn contract_rejects_atomics_and_remote_writes_in_pull() {
-        let kernel = KernelTrace::new(
+        let kernel = KernelTrace::try_new(
             vec![
                 vec![MicroOp::atomic(0), MicroOp::store(64)],
                 vec![MicroOp::atomic(0), MicroOp::load(64)],
             ],
             256,
-        );
+        )
+        .unwrap();
         let analysis = analyze_kernel(&kernel, ConsistencyModel::Drf1);
         let v = check_kernel_contract(&analysis, Propagation::Pull, 3, &[("lv".into(), 0, 128)]);
         assert!(
@@ -380,13 +383,14 @@ mod tests {
 
     #[test]
     fn pushpull_applies_only_the_drf_rule() {
-        let kernel = KernelTrace::new(
+        let kernel = KernelTrace::try_new(
             vec![
                 vec![MicroOp::store(0), MicroOp::atomic(64)],
                 vec![MicroOp::atomic(64), MicroOp::load(0)],
             ],
             256,
-        );
+        )
+        .unwrap();
         let analysis = analyze_kernel(&kernel, ConsistencyModel::DrfRlx);
         let v = check_kernel_contract(&analysis, Propagation::PushPull, 0, &[]);
         // store(0)/load(0) race is reported; the atomics are fine.
@@ -409,7 +413,11 @@ mod tests {
         for v in mid_end..n {
             edges.push((hubs + 1 + (v % (mid_end - hubs - 1)), v));
         }
-        GraphBuilder::new(n).edges(edges).symmetric(true).build()
+        GraphBuilder::new(n)
+            .edges(edges)
+            .symmetric(true)
+            .try_build()
+            .unwrap()
     }
 
     #[test]
@@ -440,7 +448,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "realized direction")]
     fn contract_check_rejects_raw_hybrid() {
-        let kernel = KernelTrace::new(vec![vec![MicroOp::load(0)]], 256);
+        let kernel = KernelTrace::try_new(vec![vec![MicroOp::load(0)]], 256).unwrap();
         let analysis = analyze_kernel(&kernel, ConsistencyModel::Drf1);
         let _ = check_kernel_contract(&analysis, Propagation::Hybrid, 0, &[]);
     }

@@ -430,7 +430,7 @@ mod tests {
     use super::*;
 
     fn k(threads: Vec<Vec<MicroOp>>) -> KernelTrace {
-        KernelTrace::new(threads, 256)
+        KernelTrace::try_new(threads, 256).unwrap()
     }
 
     fn analyze(threads: Vec<Vec<MicroOp>>) -> KernelAnalysis {

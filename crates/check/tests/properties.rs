@@ -43,7 +43,7 @@ proptest! {
         trace[0].push(MicroOp::store(shared));
         trace[b].push(MicroOp::store(shared));
         for model in ConsistencyModel::ALL {
-            let analysis = analyze_kernel(&KernelTrace::new(trace.clone(), 256), model);
+            let analysis = analyze_kernel(&KernelTrace::try_new(trace.clone(), 256).unwrap(), model);
             prop_assert_eq!(analysis.races.len(), 1);
             prop_assert_eq!(analysis.races[0].addr, shared);
             prop_assert_eq!(
@@ -80,7 +80,7 @@ proptest! {
             })
             .collect();
         for model in ConsistencyModel::ALL {
-            let analysis = analyze_kernel(&KernelTrace::new(trace.clone(), 256), model);
+            let analysis = analyze_kernel(&KernelTrace::try_new(trace.clone(), 256).unwrap(), model);
             prop_assert_eq!(analysis.races.len(), 0);
             prop_assert_eq!(analysis.class_counts[AccessClass::Racy.index()], 0);
             // The sync counts follow the model's predicates exactly.
@@ -110,9 +110,9 @@ proptest! {
         with_plain.push(vec![MicroOp::store(shared)]);
         with_atomic.push(vec![MicroOp::atomic(shared)]);
         for model in ConsistencyModel::ALL {
-            let racy = analyze_kernel(&KernelTrace::new(with_plain.clone(), 256), model);
+            let racy = analyze_kernel(&KernelTrace::try_new(with_plain.clone(), 256).unwrap(), model);
             prop_assert_eq!(racy.races.len(), 1);
-            let clean = analyze_kernel(&KernelTrace::new(with_atomic.clone(), 256), model);
+            let clean = analyze_kernel(&KernelTrace::try_new(with_atomic.clone(), 256).unwrap(), model);
             prop_assert_eq!(clean.races.len(), 0);
         }
     }

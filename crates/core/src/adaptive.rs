@@ -188,11 +188,11 @@ mod tests {
         // 8 warps; one warp has a 200-op lane, the rest 4 ops.
         let mut threads = vec![vec![MicroOp::compute(1); 4]; 256];
         threads[0] = vec![MicroOp::compute(1); 200];
-        let k = KernelTrace::new(threads, 256);
+        let k = KernelTrace::try_new(threads, 256).unwrap();
         let (_, imb) = kernel_classes(&k, &params, 64);
         assert_eq!(imb, Level::High);
 
-        let uniform = KernelTrace::new(vec![vec![MicroOp::compute(1); 4]; 256], 256);
+        let uniform = KernelTrace::try_new(vec![vec![MicroOp::compute(1); 4]; 256], 256).unwrap();
         let (_, imb) = kernel_classes(&uniform, &params, 64);
         assert_eq!(imb, Level::Low);
     }
@@ -201,17 +201,18 @@ mod tests {
     fn kernel_classes_measure_touched_footprint() {
         let params = MetricParams::default();
         // 16 threads touching 16 distinct lines: tiny volume.
-        let k = KernelTrace::new(
+        let k = KernelTrace::try_new(
             (0..16u64).map(|t| vec![MicroOp::load(t * 64)]).collect(),
             256,
-        );
+        )
+        .unwrap();
         let (vol, _) = kernel_classes(&k, &params, 64);
         assert_eq!(vol, Level::Low);
     }
 
     #[test]
     fn adaptive_runs_every_app() {
-        let spec = ExperimentSpec::at_scale(0.02);
+        let spec = ExperimentSpec::try_at_scale(0.02).unwrap();
         let g = SynthConfig::preset(GraphPreset::Dct).scale(0.02).generate();
         for app in AppKind::ALL {
             let out = run_adaptive_budgeted(app, &g, &spec, Tracer::off(), None).unwrap();
@@ -225,7 +226,7 @@ mod tests {
         // The schedule must be exactly what re-running the classifier
         // on each kernel trace yields (internal consistency of the
         // adaptive loop).
-        let spec = ExperimentSpec::at_scale(0.05);
+        let spec = ExperimentSpec::try_at_scale(0.05).unwrap();
         let g = SynthConfig::preset(GraphPreset::Raj)
             .scale(0.05)
             .generate()
@@ -253,12 +254,13 @@ mod tests {
         // A uniform kernel touching a tiny footprint classifies L/L and
         // keeps DRF1 even on a high-reuse graph (Figure 4's else arm).
         let params = MetricParams::default();
-        let k = KernelTrace::new(
+        let k = KernelTrace::try_new(
             (0..512u64)
                 .map(|t| vec![MicroOp::atomic((t % 64) * 4)])
                 .collect(),
             256,
-        );
+        )
+        .unwrap();
         let (vol, imb) = kernel_classes(&k, &params, 64);
         assert_eq!((vol, imb), (Level::Low, Level::Low));
         let profile = GraphProfile::from_classes(vol, Level::High, imb);
@@ -273,11 +275,12 @@ mod tests {
         // pull; pull has no atomics, so the schedule is constant G0.
         // The prediction is asserted first so this test fails (instead
         // of silently passing) if the predictor regresses to push.
-        let spec = ExperimentSpec::at_scale(0.05);
+        let spec = ExperimentSpec::try_at_scale(0.05).unwrap();
         let g = GraphBuilder::new(4096)
             .edges((0..4095).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         let out = run_adaptive_budgeted(AppKind::Mis, &g, &spec, Tracer::off(), None).unwrap();
         assert_eq!(out.static_config.propagation, ggs_model::Propagation::Pull);
         assert!(!out.schedule.is_empty());

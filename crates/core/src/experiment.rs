@@ -32,28 +32,10 @@ pub struct ExperimentSpec {
     pub budget: SimBudget,
 }
 
-impl Default for ExperimentSpec {
-    fn default() -> Self {
-        Self::at_scale(1.0)
-    }
-}
-
 impl ExperimentSpec {
     /// A spec for inputs generated at `scale`, with cache capacities
     /// scaled to match (so the paper's volume classes are preserved —
-    /// DESIGN.md §7).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scale` is not positive and finite. Prefer
-    /// [`ExperimentSpec::try_at_scale`] or [`ExperimentSpec::builder`]
-    /// on paths that must not panic.
-    pub fn at_scale(scale: f64) -> Self {
-        Self::try_at_scale(scale).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`ExperimentSpec::at_scale`]: rejects a
-    /// non-positive or non-finite `scale` instead of panicking.
+    /// DESIGN.md §7). Rejects a non-positive or non-finite `scale`.
     pub fn try_at_scale(scale: f64) -> Result<Self, GgsError> {
         let mut params = SystemParams::default().try_scaled_caches(scale)?;
         // Scale the fixed kernel-launch overhead with the input size so
@@ -397,7 +379,8 @@ mod tests {
                     .filter(|&(a, b)| a != b),
             )
             .symmetric(true)
-            .build()
+            .try_build()
+            .unwrap()
     }
 
     fn run(app: AppKind, g: &Csr, code: &str, spec: &ExperimentSpec) -> ExecStats {
@@ -437,7 +420,7 @@ mod tests {
     #[test]
     fn every_entry_enforces_the_budget_and_deadline() {
         let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
+        let spec = ExperimentSpec::try_at_scale(0.05).unwrap();
         let kernel_capped = ExperimentSpec::builder()
             .scale(0.05)
             .max_kernels(1)
@@ -473,7 +456,7 @@ mod tests {
     #[test]
     fn every_app_runs_on_every_supported_config() {
         let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
+        let spec = ExperimentSpec::try_at_scale(0.05).unwrap();
         for app in AppKind::ALL {
             for cfg in ggs_model::SystemConfig::all_for(app.algo_profile().traversal) {
                 let stats = run(app, &g, &cfg.code(), &spec);
@@ -485,7 +468,7 @@ mod tests {
     #[test]
     fn unsupported_propagation_is_a_typed_error() {
         let g = graph();
-        let spec = ExperimentSpec::default();
+        let spec = ExperimentSpec::try_at_scale(1.0).unwrap();
         let err =
             run_workload_budgeted(AppKind::Cc, &g, SGR, &spec, Tracer::off(), None).unwrap_err();
         assert!(matches!(err, GgsError::Unsupported { .. }));
@@ -496,7 +479,7 @@ mod tests {
     fn spec_builder_validates_scale() {
         let spec = ExperimentSpec::builder().scale(0.05).build().unwrap();
         assert_eq!(spec.scale, 0.05);
-        assert_eq!(spec, ExperimentSpec::at_scale(0.05));
+        assert_eq!(spec, ExperimentSpec::try_at_scale(0.05).unwrap());
         assert!(ExperimentSpec::builder().scale(0.0).build().is_err());
         assert!(ExperimentSpec::builder().scale(f64::NAN).build().is_err());
         assert!(ExperimentSpec::try_at_scale(-2.0).is_err());
@@ -518,7 +501,7 @@ mod tests {
     #[test]
     fn untripped_budget_does_not_perturb_the_run() {
         let g = graph();
-        let unlimited = ExperimentSpec::at_scale(0.05);
+        let unlimited = ExperimentSpec::try_at_scale(0.05).unwrap();
         let generous = ExperimentSpec::builder()
             .scale(0.05)
             .max_kernels(1 << 20)
@@ -541,7 +524,7 @@ mod tests {
     #[test]
     fn stream_path_is_bit_identical_to_generate_path() {
         let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
+        let spec = ExperimentSpec::try_at_scale(0.05).unwrap();
         for (app, cfg) in [
             (AppKind::Pr, "TG0"),
             (AppKind::Sssp, "SD1"), // exercises the weighted clone
@@ -560,7 +543,7 @@ mod tests {
     fn sssp_weights_attached_automatically() {
         let g = graph();
         assert!(!g.is_weighted());
-        let spec = ExperimentSpec::at_scale(0.05);
+        let spec = ExperimentSpec::try_at_scale(0.05).unwrap();
         let stats = run(AppKind::Sssp, &g, "SG1", &spec);
         assert!(stats.total_cycles() > 0);
     }
@@ -568,7 +551,7 @@ mod tests {
     #[test]
     fn profiled_run_attributes_every_graph_walk() {
         let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
+        let spec = ExperimentSpec::try_at_scale(0.05).unwrap();
         let (stats, regions) =
             run_workload_profiled(AppKind::Pr, &g, SGR, &spec, Tracer::off(), None).unwrap();
         // Registering regions never changes the timing.
@@ -598,7 +581,7 @@ mod tests {
         // The paper shows DRF0 performs poorly for all push configs
         // (§VI): heavy atomics + full invalidate/flush per atomic.
         let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
+        let spec = ExperimentSpec::try_at_scale(0.05).unwrap();
         let t0 = run(AppKind::Pr, &g, "SG0", &spec).total_cycles();
         let t1 = run(AppKind::Pr, &g, "SG1", &spec).total_cycles();
         let tr = run(AppKind::Pr, &g, "SGR", &spec).total_cycles();

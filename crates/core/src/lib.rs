@@ -35,7 +35,7 @@
 //!     .edges((0..511).map(|i| (i, i + 1)))
 //!     .symmetric(true)
 //!     .try_build()?;
-//! let spec = ExperimentSpec::default();
+//! let spec = ExperimentSpec::try_at_scale(1.0)?;
 //! let config = "SGR".parse()?;
 //! let stats = run_workload_budgeted(AppKind::Pr, &graph, config, &spec, Tracer::off(), None)?;
 //! assert!(stats.total_cycles() > 0);

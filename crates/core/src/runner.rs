@@ -947,7 +947,7 @@ fn run_hang(
         .build();
     let started = Instant::now();
     let threads: Vec<Vec<MicroOp>> = (0..32).map(|_| vec![MicroOp::compute(64)]).collect();
-    let kernel = KernelTrace::new(threads, spec.params.tb_size);
+    let kernel = KernelTrace::try_new(threads, spec.params.tb_size)?;
     let mut launched = 0u64;
     loop {
         if let Some(breach) = sim.budget_breach() {
@@ -1090,8 +1090,8 @@ mod tests {
 
     #[test]
     fn spec_hash_distinguishes_specs_and_config_sets() {
-        let a = ExperimentSpec::at_scale(0.05);
-        let b = ExperimentSpec::at_scale(0.1);
+        let a = ExperimentSpec::try_at_scale(0.05).unwrap();
+        let b = ExperimentSpec::try_at_scale(0.1).unwrap();
         assert_eq!(
             spec_hash(&a, ConfigSet::Figure5),
             spec_hash(&a, ConfigSet::Figure5)
@@ -1114,7 +1114,7 @@ mod tests {
 
     #[test]
     fn zero_threads_is_an_invalid_spec_not_a_panic() {
-        let spec = ExperimentSpec::at_scale(0.004);
+        let spec = ExperimentSpec::try_at_scale(0.004).unwrap();
         let options = StudyOptions {
             threads: 0,
             ..Default::default()

@@ -67,17 +67,6 @@ impl WorkloadReport {
         Some(self.cycles_of(code)? as f64 / base)
     }
 
-    /// Execution time of `code` normalized to the baseline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `code` or the baseline is missing from the rows; use
-    /// [`WorkloadReport::try_normalized`] on possibly-degraded studies.
-    pub fn normalized(&self, code: &str) -> f64 {
-        self.try_normalized(code)
-            .expect("baseline and config swept")
-    }
-
     /// Relative slowdown of the model's prediction versus the empirical
     /// best (0.0 when the model picked the best), or `None` when either
     /// row is missing from a degraded study.
@@ -85,19 +74,6 @@ impl WorkloadReport {
         let best = self.cycles_of(&self.best)? as f64;
         let pred = self.cycles_of(&self.predicted)? as f64;
         Some(pred / best - 1.0)
-    }
-
-    /// Relative slowdown of the model's prediction versus the empirical
-    /// best (0.0 when the model picked the best).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the best or predicted row is missing; use
-    /// [`WorkloadReport::try_prediction_slowdown`] on possibly-degraded
-    /// studies.
-    pub fn prediction_slowdown(&self) -> f64 {
-        self.try_prediction_slowdown()
-            .expect("best and prediction swept")
     }
 
     /// The default configuration Figure 6 compares against: `SGR` for
@@ -118,20 +94,6 @@ impl WorkloadReport {
         let def = self.cycles_of(self.default_config())? as f64;
         let best = self.cycles_of(&self.best)? as f64;
         Some((1.0 - best / def).max(0.0))
-    }
-
-    /// Fractional execution-time reduction of BEST versus the default
-    /// configuration (Figure 6's headline metric); 0 when the default
-    /// is already best.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the default or best row is missing; use
-    /// [`WorkloadReport::try_best_reduction_vs_default`] on
-    /// possibly-degraded studies.
-    pub fn best_reduction_vs_default(&self) -> f64 {
-        self.try_best_reduction_vs_default()
-            .expect("default and best swept")
     }
 }
 
@@ -361,7 +323,7 @@ mod tests {
     /// A tiny study at scale 0.004 on `threads` workers, recording into
     /// `metrics`.
     fn tiny_study(threads: usize, metrics: &MetricsRegistry) -> Study {
-        let spec = ExperimentSpec::at_scale(0.004);
+        let spec = ExperimentSpec::try_at_scale(0.004).unwrap();
         let options = StudyOptions::new(ConfigSet::Figure5, threads);
         run_study(&spec, &options, metrics, &ggs_trace::NOOP)
             .unwrap()
@@ -421,8 +383,58 @@ mod tests {
     fn report_lookup_and_metrics() {
         let study = tiny_study(8, &MetricsRegistry::new());
         let r = study.report("RAJ", "PR").expect("workload present");
-        assert_eq!(r.normalized(&r.baseline), 1.0);
-        assert!(r.prediction_slowdown() >= 0.0);
+        assert_eq!(r.try_normalized(&r.baseline), Some(1.0));
+        assert!(matches!(r.try_prediction_slowdown(), Some(s) if s >= 0.0));
         assert!(study.exact_predictions() <= 36);
+    }
+
+    #[test]
+    fn degraded_reports_yield_none_and_are_skipped_by_aggregates() {
+        let clean = tiny_study(8, &MetricsRegistry::new());
+        let key = |r: &WorkloadReport, v: f64| (r.graph.clone(), r.app.clone(), v);
+        let clean_fig6: Vec<_> = clean
+            .figure6_rows()
+            .into_iter()
+            .map(|(r, red)| key(r, red))
+            .collect();
+        // A Figure 6 workload, so excluding it is observable there.
+        let idx = clean
+            .reports
+            .iter()
+            .position(|r| {
+                clean_fig6
+                    .iter()
+                    .any(|k| (&k.0, &k.1) == (&r.graph, &r.app))
+            })
+            .expect("some workload beats its default configuration");
+
+        let mut study = clean.clone();
+        let report = &mut study.reports[idx];
+        let (baseline, best) = (report.baseline.clone(), report.best.clone());
+        report.rows.retain(|row| row.config != baseline);
+        assert_eq!(report.try_normalized(&report.predicted), None);
+        report.rows.retain(|row| row.config != best);
+        assert_eq!(report.try_prediction_slowdown(), None);
+        assert_eq!(report.try_best_reduction_vs_default(), None);
+
+        let degraded = &clean.reports[idx];
+        let fig6: Vec<_> = study
+            .figure6_rows()
+            .into_iter()
+            .map(|(r, red)| key(r, red))
+            .collect();
+        let expected: Vec<_> = clean_fig6
+            .into_iter()
+            .filter(|k| (&k.0, &k.1) != (&degraded.graph, &degraded.app))
+            .collect();
+        assert_eq!(fig6, expected);
+        let others_worst = clean
+            .reports
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| i != idx)
+            .filter_map(|(_, r)| r.try_prediction_slowdown())
+            .fold(0.0, f64::max);
+        assert_eq!(study.worst_prediction_slowdown(), others_worst);
     }
 }

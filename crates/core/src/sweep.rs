@@ -200,18 +200,8 @@ impl WorkloadSweep {
         })
     }
 
-    /// The fastest configuration (the paper's per-workload BEST).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the sweep is empty. Prefer [`WorkloadSweep::try_best`]
-    /// on paths that must not panic.
-    pub fn best(&self) -> &ConfigResult {
-        self.try_best()
-            .unwrap_or_else(|| panic!("sweep has at least one configuration"))
-    }
-
-    /// The fastest configuration, or `None` for an empty sweep.
+    /// The fastest configuration (the paper's per-workload BEST), or
+    /// `None` for an empty sweep.
     pub fn try_best(&self) -> Option<&ConfigResult> {
         self.results.iter().min_by_key(|r| r.stats.total_cycles())
     }
@@ -222,20 +212,9 @@ impl WorkloadSweep {
     }
 
     /// Execution times normalized to `baseline` (the paper's Figure 5
-    /// y-axis). Configurations map to `time / baseline_time`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` was not part of the sweep. Prefer
-    /// [`WorkloadSweep::try_normalized_to`] on paths that must not
-    /// panic.
-    pub fn normalized_to(&self, baseline: SystemConfig) -> Vec<(SystemConfig, f64)> {
-        self.try_normalized_to(baseline)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`WorkloadSweep::normalized_to`]: a missing
-    /// baseline is reported as [`GgsError::MissingConfig`].
+    /// y-axis). Configurations map to `time / baseline_time`; a
+    /// baseline outside the sweep is reported as
+    /// [`GgsError::MissingConfig`].
     pub fn try_normalized_to(
         &self,
         baseline: SystemConfig,
@@ -257,20 +236,8 @@ impl WorkloadSweep {
     }
 
     /// Relative slowdown of configuration `cfg` versus the best
-    /// (0.0 = it *is* the best; 0.10 = 10% slower).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg` was not part of the sweep. Prefer
-    /// [`WorkloadSweep::try_slowdown_vs_best`] on paths that must not
-    /// panic.
-    pub fn slowdown_vs_best(&self, cfg: SystemConfig) -> f64 {
-        self.try_slowdown_vs_best(cfg)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`WorkloadSweep::slowdown_vs_best`]: an
-    /// empty sweep or a configuration outside it is reported as
+    /// (0.0 = it *is* the best; 0.10 = 10% slower). An empty sweep or
+    /// a configuration outside it is reported as
     /// [`GgsError::MissingConfig`].
     pub fn try_slowdown_vs_best(&self, cfg: SystemConfig) -> Result<f64, GgsError> {
         let best = self
@@ -298,7 +265,8 @@ mod tests {
         GraphBuilder::new(768)
             .edges((0..767).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build()
+            .try_build()
+            .unwrap()
     }
 
     #[test]
@@ -346,8 +314,9 @@ mod tests {
             .edges((1..256).map(|v| (0, v)))
             .edges((1..255).map(|v| (v, v + 1)))
             .symmetric(true)
-            .build();
-        let spec = ExperimentSpec::at_scale(0.02);
+            .try_build()
+            .unwrap();
+        let spec = ExperimentSpec::try_at_scale(0.02).unwrap();
         let sweep = WorkloadSweep::run(
             AppKind::Sssp,
             "star",
@@ -381,7 +350,7 @@ mod tests {
     #[test]
     fn sweep_normalization_and_best() {
         let g = graph();
-        let spec = ExperimentSpec::at_scale(0.05);
+        let spec = ExperimentSpec::try_at_scale(0.05).unwrap();
         let sweep = WorkloadSweep::run(
             AppKind::Pr,
             "chain",
@@ -391,11 +360,19 @@ mod tests {
             Tracer::off(),
         )
         .unwrap();
-        let norm = sweep.normalized_to(baseline_config(AppKind::Pr));
+        let norm = sweep
+            .try_normalized_to(baseline_config(AppKind::Pr))
+            .unwrap();
         assert_eq!(norm.len(), 5);
         let (_, base_val) = norm.iter().find(|(c, _)| c.code() == "TG0").unwrap();
         assert!((base_val - 1.0).abs() < 1e-12);
-        assert!(sweep.slowdown_vs_best(sweep.best().config).abs() < 1e-12);
+        assert!(
+            sweep
+                .try_slowdown_vs_best(sweep.try_best().unwrap().config)
+                .unwrap()
+                .abs()
+                < 1e-12
+        );
     }
 }
 
@@ -408,12 +385,13 @@ mod more_tests {
         GraphBuilder::new(512)
             .edges((0..511).map(|i| (i, i + 1)))
             .symmetric(true)
-            .build()
+            .try_build()
+            .unwrap()
     }
 
     #[test]
     fn result_for_absent_config_is_none() {
-        let spec = ExperimentSpec::at_scale(0.02);
+        let spec = ExperimentSpec::try_at_scale(0.02).unwrap();
         let sweep = WorkloadSweep::run(
             AppKind::Pr,
             "chain",
@@ -429,7 +407,7 @@ mod more_tests {
 
     #[test]
     fn slowdown_vs_best_is_nonnegative_everywhere() {
-        let spec = ExperimentSpec::at_scale(0.02);
+        let spec = ExperimentSpec::try_at_scale(0.02).unwrap();
         let sweep = WorkloadSweep::run(
             AppKind::Sssp,
             "chain",
@@ -440,14 +418,13 @@ mod more_tests {
         )
         .unwrap();
         for r in &sweep.results {
-            assert!(sweep.slowdown_vs_best(r.config) >= 0.0);
+            assert!(sweep.try_slowdown_vs_best(r.config).unwrap() >= 0.0);
         }
     }
 
     #[test]
-    #[should_panic(expected = "baseline configuration")]
     fn normalization_requires_baseline_in_sweep() {
-        let spec = ExperimentSpec::at_scale(0.02);
+        let spec = ExperimentSpec::try_at_scale(0.02).unwrap();
         let sweep = WorkloadSweep::run(
             AppKind::Pr,
             "chain",
@@ -457,12 +434,16 @@ mod more_tests {
             Tracer::off(),
         )
         .unwrap();
-        let _ = sweep.normalized_to("TG0".parse().unwrap());
+        let err = sweep.try_normalized_to("TG0".parse().unwrap()).unwrap_err();
+        let GgsError::MissingConfig(msg) = err else {
+            panic!("expected MissingConfig, got {err:?}");
+        };
+        assert!(msg.contains("baseline configuration TG0"), "{msg}");
     }
 
     #[test]
     fn try_variants_report_errors_instead_of_panicking() {
-        let spec = ExperimentSpec::at_scale(0.02);
+        let spec = ExperimentSpec::try_at_scale(0.02).unwrap();
         let sweep = WorkloadSweep::run(
             AppKind::Pr,
             "chain",
@@ -494,7 +475,7 @@ mod more_tests {
 
     #[test]
     fn full_config_set_sweep_runs() {
-        let spec = ExperimentSpec::at_scale(0.02);
+        let spec = ExperimentSpec::try_at_scale(0.02).unwrap();
         let configs = ggs_model::SystemConfig::all_for(ggs_model::taxonomy::Traversal::Static);
         let sweep = WorkloadSweep::run(
             AppKind::Mis,

@@ -49,10 +49,11 @@ impl std::error::Error for GraphError {}
 ///     .edge(1, 1) // self-loop: dropped
 ///     .edge(0, 1) // duplicate: dropped
 ///     .symmetric(true)
-///     .build();
+///     .try_build()?;
 /// assert_eq!(g.num_edges(), 2);
 /// assert!(g.is_symmetric());
 /// assert!(!g.has_self_loops());
+/// # Ok::<(), ggs_graph::GraphError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
@@ -113,19 +114,9 @@ impl GraphBuilder {
         self.edges.len()
     }
 
-    /// Normalizes and builds the [`Csr`] graph.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any added edge has an endpoint `>= num_vertices`.
-    /// Prefer [`GraphBuilder::try_build`] on paths that must not panic.
-    pub fn build(self) -> Csr {
-        self.try_build().unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`GraphBuilder::build`]: returns an error if
-    /// any added edge has an endpoint `>= num_vertices` instead of
-    /// panicking.
+    /// Normalizes and builds the [`Csr`] graph, or returns
+    /// [`GraphError::EndpointOutOfRange`] if any added edge has an
+    /// endpoint `>= num_vertices`.
     pub fn try_build(self) -> Result<Csr, GraphError> {
         let Self {
             num_vertices,
@@ -162,13 +153,18 @@ mod tests {
             .edge(0, 1)
             .edge(0, 1)
             .edge(0, 1)
-            .build();
+            .try_build()
+            .unwrap();
         assert_eq!(g.num_edges(), 1);
     }
 
     #[test]
     fn self_loops_removed_by_default() {
-        let g = GraphBuilder::new(2).edge(0, 0).edge(0, 1).build();
+        let g = GraphBuilder::new(2)
+            .edge(0, 0)
+            .edge(0, 1)
+            .try_build()
+            .unwrap();
         assert_eq!(g.num_edges(), 1);
         assert!(!g.has_self_loops());
     }
@@ -178,7 +174,8 @@ mod tests {
         let g = GraphBuilder::new(2)
             .edge(0, 0)
             .keep_self_loops(true)
-            .build();
+            .try_build()
+            .unwrap();
         assert!(g.has_self_loops());
     }
 
@@ -189,7 +186,8 @@ mod tests {
             .edge(1, 0) // reverse already present
             .edge(1, 2)
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         assert_eq!(g.num_edges(), 4);
         assert!(g.is_symmetric());
     }
@@ -198,14 +196,22 @@ mod tests {
     fn edges_from_iterator() {
         let g = GraphBuilder::new(4)
             .edges((0..3).map(|i| (i, i + 1)))
-            .build();
+            .try_build()
+            .unwrap();
         assert_eq!(g.num_edges(), 3);
     }
 
     #[test]
-    #[should_panic(expected = "out of range")]
     fn rejects_out_of_range_edges() {
-        let _ = GraphBuilder::new(1).edge(0, 1).build();
+        let err = GraphBuilder::new(1).edge(0, 1).try_build().unwrap_err();
+        assert_eq!(
+            err,
+            GraphError::EndpointOutOfRange {
+                edge: (0, 1),
+                num_vertices: 1
+            }
+        );
+        assert!(err.to_string().contains("out of range"));
     }
 
     #[test]

@@ -21,13 +21,14 @@
 //!     .edge(1, 2)
 //!     .edge(2, 3)
 //!     .symmetric(true)
-//!     .build();
+//!     .try_build()?;
 //! assert_eq!(g.num_edges(), 6); // symmetrized
 //!
 //! // …or generate a scaled-down synthetic stand-in for one of the paper's
 //! // inputs.
 //! let amz = SynthConfig::preset(GraphPreset::Amz).scale(0.01).generate();
 //! assert!(amz.num_vertices() > 1000);
+//! # Ok::<(), ggs_graph::GraphError>(())
 //! ```
 
 #![forbid(unsafe_code)]

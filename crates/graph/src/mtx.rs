@@ -10,7 +10,7 @@ use std::fmt;
 use std::io::{self, BufRead, Write};
 use std::num::IntErrorKind;
 
-use crate::builder::GraphBuilder;
+use crate::builder::{GraphBuilder, GraphError};
 use crate::csr::Csr;
 
 /// Error parsing a Matrix Market stream.
@@ -242,7 +242,15 @@ pub fn read_mtx<R: BufRead>(reader: R) -> Result<Csr, ParseMtxError> {
             found: seen,
         });
     }
-    Ok(builder.build())
+    // Every entry was range-checked above; report the builder's error
+    // anyway, in the file's 1-based indices.
+    builder.try_build().map_err(|e| match e {
+        GraphError::EndpointOutOfRange { edge: (s, t), .. } => ParseMtxError::IndexOutOfRange {
+            row: (u64::from(s) + 1).to_string(),
+            col: (u64::from(t) + 1).to_string(),
+            vertices: rows,
+        },
+    })
 }
 
 /// A stream is a duplicate flood once most of its entries are repeats
@@ -316,7 +324,8 @@ mod tests {
         let g = crate::GraphBuilder::new(5)
             .edges([(0, 1), (1, 2), (2, 3), (3, 4)])
             .symmetric(true)
-            .build();
+            .try_build()
+            .unwrap();
         let mut buf = Vec::new();
         write_mtx(&g, &mut buf).unwrap();
         let g2 = read_mtx(&buf[..]).unwrap();

@@ -19,7 +19,7 @@ proptest! {
     /// self-loops or duplicates, regardless of input.
     #[test]
     fn builder_normalizes_any_edge_list((n, edges) in edge_lists(64)) {
-        let g = GraphBuilder::new(n).edges(edges).symmetric(true).build();
+        let g = GraphBuilder::new(n).edges(edges).symmetric(true).try_build().unwrap();
         prop_assert!(g.is_symmetric());
         prop_assert!(!g.has_self_loops());
         // No duplicates: every adjacency list is strictly increasing.
@@ -33,7 +33,7 @@ proptest! {
     /// and the degree statistics bound each other.
     #[test]
     fn degree_identities((n, edges) in edge_lists(64)) {
-        let g = GraphBuilder::new(n).edges(edges).build();
+        let g = GraphBuilder::new(n).edges(edges).try_build().unwrap();
         let total: u64 = (0..n).map(|v| g.out_degree(v) as u64).sum();
         prop_assert_eq!(total, g.num_edges());
         let s = g.degree_stats();
@@ -55,7 +55,7 @@ proptest! {
     /// Matrix Market write → read roundtrips any normalized graph.
     #[test]
     fn mtx_roundtrip((n, edges) in edge_lists(48)) {
-        let g = GraphBuilder::new(n).edges(edges).symmetric(true).build();
+        let g = GraphBuilder::new(n).edges(edges).symmetric(true).try_build().unwrap();
         let mut buf = Vec::new();
         write_mtx(&g, &mut buf).expect("write succeeds");
         let back = read_mtx(&buf[..]).expect("parse succeeds");
@@ -65,7 +65,7 @@ proptest! {
     /// Hashed edge weights are symmetric and within range for any graph.
     #[test]
     fn hashed_weights_invariants((n, edges) in edge_lists(48), max_w in 1u32..100) {
-        let g = GraphBuilder::new(n).edges(edges).symmetric(true).build()
+        let g = GraphBuilder::new(n).edges(edges).symmetric(true).try_build().unwrap()
             .with_hashed_weights(max_w);
         for (s, t) in g.edges() {
             let i = g.neighbors(s).binary_search(&t).expect("edge exists");

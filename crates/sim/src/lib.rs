@@ -40,13 +40,14 @@
 //! let threads = (0..256u64)
 //!     .map(|t| vec![MicroOp::load(t * 4), MicroOp::compute(8)])
 //!     .collect();
-//! let kernel = KernelTrace::new(threads, 256);
+//! let kernel = KernelTrace::try_new(threads, 256)?;
 //!
 //! let hw = HwConfig::new(CoherenceKind::Gpu, ConsistencyModel::Drf0);
 //! let mut sim = Simulation::new(SystemParams::default(), hw);
 //! sim.run_kernel(&kernel);
 //! let stats = sim.finish();
 //! assert!(stats.total_cycles() > 0);
+//! # Ok::<(), ggs_sim::ParamsError>(())
 //! ```
 
 #![forbid(unsafe_code)]

@@ -62,7 +62,7 @@ pub enum SchedulerPolicy {
 /// The latency *ranges* come from NUCA/mesh distance; [`crate::noc::Mesh`]
 /// converts hop counts into concrete latencies inside these ranges.
 ///
-/// [`SystemParams::scaled_caches`] shrinks the cache capacities for runs
+/// [`SystemParams::try_scaled_caches`] shrinks the cache capacities for runs
 /// on scaled-down inputs, so that the paper's volume classification
 /// (working set vs. cache capacity) is preserved — see DESIGN.md.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,23 +168,12 @@ impl Default for SystemParams {
 
 impl SystemParams {
     /// Returns the parameters with L1/L2 capacities multiplied by
-    /// `factor`, keeping at least one set per cache.
+    /// `factor`, keeping at least one set per cache, or
+    /// [`ParamsError::BadScale`] if `factor` is not positive and finite.
     ///
     /// Used when simulating scale-reduced inputs: the paper's *volume*
     /// classification compares working-set size against cache capacity,
     /// so scaling both by the same factor preserves every class.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not positive and finite. Prefer
-    /// [`SystemParams::try_scaled_caches`] on paths that must not panic.
-    pub fn scaled_caches(self, factor: f64) -> Self {
-        self.try_scaled_caches(factor)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`SystemParams::scaled_caches`]: rejects
-    /// non-finite or non-positive factors instead of panicking.
     pub fn try_scaled_caches(mut self, factor: f64) -> Result<Self, ParamsError> {
         if !(factor.is_finite() && factor > 0.0) {
             return Err(ParamsError::BadScale(factor));
@@ -364,14 +353,14 @@ mod tests {
 
     #[test]
     fn scaling_shrinks_caches_proportionally() {
-        let p = SystemParams::default().scaled_caches(0.125);
+        let p = SystemParams::default().try_scaled_caches(0.125).unwrap();
         assert_eq!(p.l1_bytes, 4 * 1024);
         assert_eq!(p.l2_bytes, 512 * 1024);
     }
 
     #[test]
     fn scaling_never_drops_below_one_set() {
-        let p = SystemParams::default().scaled_caches(1e-9);
+        let p = SystemParams::default().try_scaled_caches(1e-9).unwrap();
         assert!(p.l1_bytes >= (p.line_bytes * p.l1_assoc) as u64);
         assert!(p.l2_bytes >= (p.line_bytes * p.l2_assoc * p.l2_banks) as u64);
     }
@@ -382,16 +371,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive")]
-    fn scaling_rejects_zero() {
-        let _ = SystemParams::default().scaled_caches(0.0);
-    }
-
-    #[test]
     fn try_scaled_caches_reports_bad_factors() {
+        let err = SystemParams::default().try_scaled_caches(0.0).unwrap_err();
+        assert_eq!(err, ParamsError::BadScale(0.0));
+        assert!(err.to_string().contains("positive"));
         assert_eq!(
-            SystemParams::default().try_scaled_caches(0.0),
-            Err(ParamsError::BadScale(0.0))
+            SystemParams::default().try_scaled_caches(-1.0),
+            Err(ParamsError::BadScale(-1.0))
         );
         assert!(SystemParams::default().try_scaled_caches(f64::NAN).is_err());
         assert!(SystemParams::default().try_scaled_caches(0.5).is_ok());

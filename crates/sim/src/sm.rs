@@ -512,7 +512,8 @@ mod tests {
     /// Leaks `threads` as a block view with a `'static` lifetime (test
     /// convenience standing in for the engine's borrow of a kernel).
     fn leak_block(threads: Vec<Vec<MicroOp>>) -> ThreadsSlice<'static> {
-        let kt: &'static KernelTrace = Box::leak(Box::new(KernelTrace::new(threads, 256)));
+        let kt: &'static KernelTrace =
+            Box::leak(Box::new(KernelTrace::try_new(threads, 256).unwrap()));
         kt.threads_slice(0, kt.num_threads() as usize)
     }
 

@@ -6,6 +6,8 @@
 //! (shorter lanes simply become inactive — this models loop-trip-count
 //! divergence, the dominant divergence in vertex-centric graph kernels).
 
+use crate::params::ParamsError;
+
 /// One micro-operation of a GPU thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MicroOp {
@@ -101,9 +103,10 @@ impl MicroOp {
 /// use ggs_sim::trace::{KernelTrace, MicroOp};
 ///
 /// let threads = vec![vec![MicroOp::load(0)], vec![MicroOp::compute(4)]];
-/// let k = KernelTrace::new(threads, 256);
+/// let k = KernelTrace::try_new(threads, 256)?;
 /// assert_eq!(k.num_threads(), 2);
 /// assert_eq!(k.num_blocks(), 1);
+/// # Ok::<(), ggs_sim::ParamsError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelTrace {
@@ -115,24 +118,11 @@ pub struct KernelTrace {
 }
 
 impl KernelTrace {
-    /// Creates a kernel trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tb_size` is zero. Prefer [`KernelTrace::try_new`] on
-    /// paths that must not panic.
-    pub fn new(threads: Vec<Vec<MicroOp>>, tb_size: u32) -> Self {
-        Self::try_new(threads, tb_size).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`KernelTrace::new`]: rejects a zero
-    /// `tb_size` instead of panicking.
-    pub fn try_new(
-        threads: Vec<Vec<MicroOp>>,
-        tb_size: u32,
-    ) -> Result<Self, crate::params::ParamsError> {
+    /// Creates a kernel trace, or returns [`ParamsError::NonPositive`]
+    /// if `tb_size` is zero.
+    pub fn try_new(threads: Vec<Vec<MicroOp>>, tb_size: u32) -> Result<Self, ParamsError> {
         if tb_size == 0 {
-            return Err(crate::params::ParamsError::NonPositive("tb_size"));
+            return Err(ParamsError::NonPositive("tb_size"));
         }
         let total: usize = threads.iter().map(|t| t.len()).sum();
         let mut ops = Vec::with_capacity(total);
@@ -285,7 +275,7 @@ mod tests {
 
     #[test]
     fn block_count_rounds_up() {
-        let k = KernelTrace::new(vec![Vec::new(); 257], 256);
+        let k = KernelTrace::try_new(vec![Vec::new(); 257], 256).unwrap();
         assert_eq!(k.num_blocks(), 2);
     }
 
@@ -317,17 +307,19 @@ mod tests {
 
     #[test]
     fn total_ops_sums_threads() {
-        let k = KernelTrace::new(
+        let k = KernelTrace::try_new(
             vec![vec![MicroOp::compute(1); 3], vec![MicroOp::compute(1); 2]],
             128,
-        );
+        )
+        .unwrap();
         assert_eq!(k.total_ops(), 5);
     }
 
     #[test]
-    #[should_panic(expected = "tb_size")]
     fn zero_tb_size_rejected() {
-        let _ = KernelTrace::new(Vec::new(), 0);
+        let err = KernelTrace::try_new(Vec::new(), 0).unwrap_err();
+        assert_eq!(err, ParamsError::NonPositive("tb_size"));
+        assert!(err.to_string().contains("tb_size"));
     }
 
     #[test]

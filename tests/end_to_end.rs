@@ -30,7 +30,7 @@ fn simulate(
 #[test]
 fn full_pipeline_on_one_workload() {
     let graph = preset_graph(GraphPreset::Raj);
-    let spec = ExperimentSpec::at_scale(SCALE);
+    let spec = ExperimentSpec::try_at_scale(SCALE).unwrap();
     let profile = GraphProfile::measure(&graph, &spec.metric_params());
     let algo = AppKind::Sssp.algo_profile();
     let predicted = predict_full(&algo, &profile);
@@ -43,21 +43,21 @@ fn full_pipeline_on_one_workload() {
 #[test]
 fn sweep_covers_every_figure5_config() {
     let graph = preset_graph(GraphPreset::Dct);
-    let spec = ExperimentSpec::at_scale(SCALE);
+    let spec = ExperimentSpec::try_at_scale(SCALE).unwrap();
     for app in AppKind::ALL {
         let configs = figure5_configs(app);
         let sweep = WorkloadSweep::run(app, "DCT", &graph, &configs, &spec, Tracer::off())
             .expect("figure 5 configs are supported");
         assert_eq!(sweep.results.len(), configs.len());
         let baseline = baseline_config(app);
-        let norm = sweep.normalized_to(baseline);
+        let norm = sweep.try_normalized_to(baseline).unwrap();
         let base = norm
             .iter()
             .find(|(c, _)| *c == baseline)
             .expect("baseline present");
         assert!((base.1 - 1.0).abs() < 1e-12);
         // Best is no slower than any swept configuration.
-        let best = sweep.best().stats.total_cycles();
+        let best = sweep.try_best().unwrap().stats.total_cycles();
         for r in &sweep.results {
             assert!(r.stats.total_cycles() >= best);
         }
@@ -67,7 +67,7 @@ fn sweep_covers_every_figure5_config() {
 #[test]
 fn runs_are_deterministic_end_to_end() {
     let graph = preset_graph(GraphPreset::Wng);
-    let spec = ExperimentSpec::at_scale(SCALE);
+    let spec = ExperimentSpec::try_at_scale(SCALE).unwrap();
     let cfg: SystemConfig = "SGR".parse().expect("valid config");
     let a = simulate(AppKind::Pr, &graph, cfg, &spec);
     let b = simulate(AppKind::Pr, &graph, cfg, &spec);
@@ -86,8 +86,9 @@ fn custom_graphs_work_through_the_same_api() {
                 .filter(|&(a, b)| a != b),
         )
         .symmetric(true)
-        .build();
-    let spec = ExperimentSpec::at_scale(SCALE);
+        .try_build()
+        .unwrap();
+    let spec = ExperimentSpec::try_at_scale(SCALE).unwrap();
     let profile = GraphProfile::measure(&graph, &spec.metric_params());
     for app in AppKind::ALL {
         let cfg = predict_full(&app.algo_profile(), &profile);
@@ -100,7 +101,7 @@ fn custom_graphs_work_through_the_same_api() {
 #[test]
 fn stall_classes_cover_all_cycles() {
     let graph = preset_graph(GraphPreset::Eml);
-    let spec = ExperimentSpec::at_scale(SCALE);
+    let spec = ExperimentSpec::try_at_scale(SCALE).unwrap();
     for code in ["TG0", "SG1", "SGR", "SD1", "SDR"] {
         let cfg: SystemConfig = code.parse().expect("valid");
         let stats = simulate(AppKind::Pr, &graph, cfg, &spec);

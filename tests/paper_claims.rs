@@ -17,7 +17,7 @@ fn cycles(app: AppKind, preset: GraphPreset, code: &str) -> u64 {
 
 fn cycles_at(scale: f64, app: AppKind, preset: GraphPreset, code: &str) -> u64 {
     let graph = SynthConfig::preset(preset).scale(scale).generate();
-    let spec = ExperimentSpec::at_scale(scale);
+    let spec = ExperimentSpec::try_at_scale(scale).unwrap();
     let cfg: SystemConfig = code.parse().expect("valid config");
     run_workload_budgeted(app, &graph, cfg, &spec, Tracer::off(), None)
         .expect("supported configuration")
