@@ -172,6 +172,7 @@ pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
 mod tests {
     use super::*;
     use ggs_graph::GraphBuilder;
+    use ggs_sim::trace::Op;
 
     #[test]
     fn reference_two_components() {
@@ -218,12 +219,12 @@ mod tests {
             kernels += 1;
             for t in 0..k.num_threads() {
                 for op in k.thread(t) {
-                    match op {
-                        MicroOp::Atomic {
+                    match op.op() {
+                        Op::Atomic {
                             returns_value: true,
                             ..
                         } => returning += 1,
-                        MicroOp::Atomic {
+                        Op::Atomic {
                             returns_value: false,
                             ..
                         } => plain += 1,

@@ -209,6 +209,7 @@ pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
 mod tests {
     use super::*;
     use ggs_graph::GraphBuilder;
+    use ggs_sim::trace::Op;
 
     fn ring(n: u32) -> Csr {
         GraphBuilder::new(n)
@@ -264,7 +265,7 @@ mod tests {
                 .map(|t| {
                     k.thread(t)
                         .iter()
-                        .filter(|o| matches!(o, MicroOp::Atomic { .. }))
+                        .filter(|o| matches!(o.op(), Op::Atomic { .. }))
                         .count()
                 })
                 .sum();

@@ -231,6 +231,7 @@ pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
 mod tests {
     use super::*;
     use ggs_graph::GraphBuilder;
+    use ggs_sim::trace::Op;
 
     fn ring(n: u32) -> Csr {
         GraphBuilder::new(n)
@@ -295,7 +296,7 @@ mod tests {
                     atomics += k
                         .thread(t)
                         .iter()
-                        .filter(|o| matches!(o, MicroOp::Atomic { .. }))
+                        .filter(|o| matches!(o.op(), Op::Atomic { .. }))
                         .count() as u64;
                 }
             });

@@ -154,6 +154,7 @@ pub fn memory_map(graph: &Csr) -> Vec<(String, u64, u64)> {
 mod tests {
     use super::*;
     use ggs_graph::GraphBuilder;
+    use ggs_sim::trace::Op;
 
     fn chain(n: u32) -> Csr {
         GraphBuilder::new(n)
@@ -198,7 +199,7 @@ mod tests {
                 atomics += k
                     .thread(t)
                     .iter()
-                    .filter(|o| matches!(o, MicroOp::Atomic { .. }))
+                    .filter(|o| matches!(o.op(), Op::Atomic { .. }))
                     .count() as u64;
             }
         });
@@ -215,11 +216,11 @@ mod tests {
                 assert!(k
                     .thread(t)
                     .iter()
-                    .all(|o| !matches!(o, MicroOp::Atomic { .. })));
+                    .all(|o| !matches!(o.op(), Op::Atomic { .. })));
                 stores += k
                     .thread(t)
                     .iter()
-                    .filter(|o| matches!(o, MicroOp::Store { .. }))
+                    .filter(|o| matches!(o.op(), Op::Store { .. }))
                     .count();
             }
             assert_eq!(stores, 20);

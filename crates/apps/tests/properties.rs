@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use ggs_apps::{bc, cc, clr, mis, pr, sssp, AppKind, Workload};
 use ggs_graph::{Csr, GraphBuilder};
 use ggs_model::Propagation;
-use ggs_sim::trace::MicroOp;
+use ggs_sim::trace::Op;
 
 /// Strategy: an arbitrary normalized (symmetric, loop-free) graph.
 fn graphs(max_v: u32) -> impl Strategy<Value = Csr> {
@@ -166,7 +166,7 @@ proptest! {
                             }
                             if prop == Propagation::Pull {
                                 assert!(
-                                    !matches!(op, MicroOp::Atomic { .. }),
+                                    !matches!(op.op(), Op::Atomic { .. }),
                                     "{app}: pull must not use atomics"
                                 );
                             }

@@ -33,7 +33,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use ggs_sim::config::ConsistencyModel;
-use ggs_sim::trace::{KernelTrace, MicroOp};
+use ggs_sim::trace::{KernelTrace, Op};
 use ggs_verify::AccessSite;
 
 /// Sharing classification of one address within one kernel.
@@ -218,7 +218,7 @@ fn first_conflicting_pair(kernel: &KernelTrace, addr: u64) -> Option<(AccessSite
     let mut writer: Option<u64> = None;
     'outer: for t in 0..kernel.num_threads() {
         for op in kernel.thread(t) {
-            if matches!(*op, MicroOp::Store { addr: a } if a == addr) {
+            if matches!(op.op(), Op::Store { addr: a } if a == addr) {
                 writer = Some(t);
                 break 'outer;
             }
@@ -230,9 +230,9 @@ fn first_conflicting_pair(kernel: &KernelTrace, addr: u64) -> Option<(AccessSite
             continue;
         }
         for op in kernel.thread(t) {
-            let other = match *op {
-                MicroOp::Load { addr: a } if a == addr => AccessSite::thread(t, "load", addr),
-                MicroOp::Store { addr: a } if a == addr => AccessSite::thread(t, "store", addr),
+            let other = match op.op() {
+                Op::Load { addr: a } if a == addr => AccessSite::thread(t, "load", addr),
+                Op::Store { addr: a } if a == addr => AccessSite::thread(t, "store", addr),
                 _ => continue,
             };
             return Some((AccessSite::thread(wt, "store", addr), other));
@@ -351,19 +351,19 @@ pub fn analyze_kernel(kernel: &KernelTrace, consistency: ConsistencyModel) -> Ke
 
     for t in 0..kernel.num_threads() {
         for op in kernel.thread(t) {
-            match *op {
-                MicroOp::Load { addr } => {
+            match op.op() {
+                Op::Load { addr } => {
                     let s = map.entry(addr).or_default();
                     s.plain_reads += 1;
                     s.readers.add(t);
                 }
-                MicroOp::Store { addr } => {
+                Op::Store { addr } => {
                     let s = map.entry(addr).or_default();
                     s.plain_writes += 1;
                     s.writers.add(t);
                     plain_writes += 1;
                 }
-                MicroOp::Atomic {
+                Op::Atomic {
                     addr,
                     returns_value,
                 } => {
@@ -380,7 +380,7 @@ pub fn analyze_kernel(kernel: &KernelTrace, consistency: ConsistencyModel) -> Ke
                         blocking_atomics += 1;
                     }
                 }
-                MicroOp::Compute { .. } => {}
+                Op::Compute { .. } => {}
             }
         }
     }
@@ -428,6 +428,7 @@ pub fn analyze_kernel(kernel: &KernelTrace, consistency: ConsistencyModel) -> Ke
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ggs_sim::trace::MicroOp;
 
     fn k(threads: Vec<Vec<MicroOp>>) -> KernelTrace {
         KernelTrace::try_new(threads, 256).unwrap()

@@ -95,7 +95,7 @@ impl ConsistencyModel {
     /// nothing.
     ///
     /// Shared by the timing model ([`crate::sm`]) and the `ggs-check`
-    /// analyzer so both agree on which `MicroOp::Atomic` ops
+    /// analyzer so both agree on which `Op::Atomic` ops
     /// synchronize.
     pub fn atomic_is_fence(self) -> bool {
         self.atomics_are_paired()

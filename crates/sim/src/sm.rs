@@ -6,7 +6,7 @@ use crate::config::ConsistencyModel;
 use crate::mem::MemorySystem;
 use crate::params::SchedulerPolicy;
 use crate::stats::{StallBreakdown, StallClass};
-use crate::trace::{MicroOp, ThreadsSlice};
+use crate::trace::{Op, ThreadsSlice};
 use ggs_trace::{TraceEvent, Tracer};
 
 /// One 32-lane warp executing its lanes' micro-op streams in lockstep
@@ -326,14 +326,14 @@ impl<'k> Sm<'k> {
         let mut comp_cycles: u64 = 0;
         for lane in self.warps[idx].lanes.iter() {
             if let Some(op) = lane.get(slot) {
-                match *op {
-                    MicroOp::Load { addr } => load_lines.push(addr & self.line_mask),
-                    MicroOp::Store { addr } => store_lines.push(addr & self.line_mask),
-                    MicroOp::Atomic {
+                match op.op() {
+                    Op::Load { addr } => load_lines.push(addr & self.line_mask),
+                    Op::Store { addr } => store_lines.push(addr & self.line_mask),
+                    Op::Atomic {
                         addr,
                         returns_value,
                     } => atomics.push((addr, returns_value)),
-                    MicroOp::Compute { cycles } => comp_cycles = comp_cycles.max(cycles as u64),
+                    Op::Compute { cycles } => comp_cycles = comp_cycles.max(cycles as u64),
                 }
             }
         }
@@ -507,7 +507,7 @@ mod tests {
     use super::*;
     use crate::config::{CoherenceKind, HwConfig};
     use crate::params::SystemParams;
-    use crate::trace::KernelTrace;
+    use crate::trace::{KernelTrace, MicroOp};
 
     /// Leaks `threads` as a block view with a `'static` lifetime (test
     /// convenience standing in for the engine's borrow of a kernel).

@@ -6,11 +6,13 @@
 //! (shorter lanes simply become inactive — this models loop-trip-count
 //! divergence, the dominant divergence in vertex-centric graph kernels).
 
+use std::fmt;
+
 use crate::params::ParamsError;
 
-/// One micro-operation of a GPU thread.
+/// One micro-operation of a GPU thread, decoded (see [`MicroOp::op`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MicroOp {
+pub enum Op {
     /// Non-atomic load of one 32-bit word. Loads are *blocking*: graph
     /// kernels consume a load's value immediately (pointer chasing), so
     /// the warp waits for completion before its next slot.
@@ -42,48 +44,117 @@ pub enum MicroOp {
     },
 }
 
+/// One micro-operation of a GPU thread, packed into 8 bytes.
+///
+/// The top 3 bits hold the kind (compute, load, store, atomic,
+/// value-returning atomic); the low 61 bits hold the byte address, or
+/// the compute cycles. That is half the size of a tagged enum holding a
+/// `u64` address, and trace arenas are mostly ops. Build ops with the
+/// constructors and read them back with [`MicroOp::op`].
+///
+/// # Example
+///
+/// ```
+/// use ggs_sim::trace::{MicroOp, Op};
+///
+/// let op = MicroOp::atomic_returning(64);
+/// assert_eq!(op.op(), Op::Atomic { addr: 64, returns_value: true });
+/// assert_eq!(op.address(), Some(64));
+/// ```
+#[derive(Clone, Copy, PartialEq, Eq)]
+#[repr(transparent)]
+pub struct MicroOp(u64);
+
+const _: () = assert!(std::mem::size_of::<MicroOp>() == 8);
+
+/// Bit position of the 3-bit kind field.
+const KIND_SHIFT: u32 = 61;
+/// Mask of the 61-bit payload (address or compute cycles).
+const PAYLOAD: u64 = (1 << KIND_SHIFT) - 1;
+
+const COMPUTE: u64 = 0;
+const LOAD: u64 = 1;
+const STORE: u64 = 2;
+const ATOMIC: u64 = 3;
+const ATOMIC_RETURNING: u64 = 4;
+
 impl MicroOp {
+    /// Packs a memory op of `kind` at `addr`.
+    fn memory(kind: u64, addr: u64) -> Self {
+        assert!(addr <= PAYLOAD, "address {addr:#x} exceeds 61 bits");
+        MicroOp(kind << KIND_SHIFT | addr)
+    }
+
     /// Convenience constructor for a blocking load.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not below `2^61`.
     pub fn load(addr: u64) -> Self {
-        MicroOp::Load { addr }
+        Self::memory(LOAD, addr)
     }
 
     /// Convenience constructor for a store.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not below `2^61`.
     pub fn store(addr: u64) -> Self {
-        MicroOp::Store { addr }
+        Self::memory(STORE, addr)
     }
 
     /// Convenience constructor for a non-value-returning atomic
     /// (e.g. `atomicAdd` used as a reduction).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not below `2^61`.
     pub fn atomic(addr: u64) -> Self {
-        MicroOp::Atomic {
-            addr,
-            returns_value: false,
-        }
+        Self::memory(ATOMIC, addr)
     }
 
     /// Convenience constructor for a value-returning atomic
     /// (e.g. `atomicCAS` whose result drives control flow).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `addr` is not below `2^61`.
     pub fn atomic_returning(addr: u64) -> Self {
-        MicroOp::Atomic {
-            addr,
-            returns_value: true,
-        }
+        Self::memory(ATOMIC_RETURNING, addr)
     }
 
     /// Convenience constructor for a compute burst.
     pub fn compute(cycles: u16) -> Self {
-        MicroOp::Compute { cycles }
+        MicroOp(COMPUTE << KIND_SHIFT | cycles as u64)
+    }
+
+    /// The decoded operation.
+    #[inline]
+    pub fn op(self) -> Op {
+        let payload = self.0 & PAYLOAD;
+        match self.0 >> KIND_SHIFT {
+            COMPUTE => Op::Compute {
+                cycles: payload as u16,
+            },
+            LOAD => Op::Load { addr: payload },
+            STORE => Op::Store { addr: payload },
+            kind => Op::Atomic {
+                addr: payload,
+                returns_value: kind == ATOMIC_RETURNING,
+            },
+        }
     }
 
     /// The byte address touched, if this is a memory operation.
+    #[inline]
     pub fn address(&self) -> Option<u64> {
-        match *self {
-            MicroOp::Load { addr } | MicroOp::Store { addr } | MicroOp::Atomic { addr, .. } => {
-                Some(addr)
-            }
-            MicroOp::Compute { .. } => None,
-        }
+        (self.0 >> KIND_SHIFT != COMPUTE).then_some(self.0 & PAYLOAD)
+    }
+}
+
+impl fmt::Debug for MicroOp {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.op().fmt(f)
     }
 }
 
@@ -207,8 +278,7 @@ impl KernelTrace {
         self.ops.len() as u64
     }
 
-    /// Heap bytes held by the trace's op arena and offset table
-    /// (capacity, not length — what the allocator actually committed).
+    /// Capacity in bytes of the trace's op arena plus its offset table.
     /// Capacity-bounded trace caches use this for their memory
     /// accounting.
     pub fn heap_bytes(&self) -> u64 {
@@ -285,24 +355,75 @@ mod tests {
         assert_eq!(MicroOp::store(4).address(), Some(4));
         assert_eq!(MicroOp::atomic(8).address(), Some(8));
         assert_eq!(MicroOp::compute(2).address(), None);
+        assert_eq!(MicroOp::load(64).op(), Op::Load { addr: 64 });
+        assert_eq!(MicroOp::store(4).op(), Op::Store { addr: 4 });
+        assert_eq!(MicroOp::compute(2).op(), Op::Compute { cycles: 2 });
     }
 
     #[test]
     fn returning_flag() {
         assert!(matches!(
-            MicroOp::atomic_returning(0),
-            MicroOp::Atomic {
+            MicroOp::atomic_returning(0).op(),
+            Op::Atomic {
                 returns_value: true,
                 ..
             }
         ));
         assert!(matches!(
-            MicroOp::atomic(0),
-            MicroOp::Atomic {
+            MicroOp::atomic(0).op(),
+            Op::Atomic {
                 returns_value: false,
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn encoding_round_trips() {
+        for addr in [0, 4, 1 << 46, (1 << 61) - 1] {
+            let cases = [
+                (MicroOp::load(addr), Op::Load { addr }),
+                (MicroOp::store(addr), Op::Store { addr }),
+                (
+                    MicroOp::atomic(addr),
+                    Op::Atomic {
+                        addr,
+                        returns_value: false,
+                    },
+                ),
+                (
+                    MicroOp::atomic_returning(addr),
+                    Op::Atomic {
+                        addr,
+                        returns_value: true,
+                    },
+                ),
+            ];
+            for (op, decoded) in cases {
+                assert_eq!(op.op(), decoded);
+                assert_eq!(op.address(), Some(addr));
+            }
+        }
+        for cycles in [0, 1, u16::MAX] {
+            let op = MicroOp::compute(cycles);
+            assert_eq!(op.op(), Op::Compute { cycles });
+            assert_eq!(op.address(), None);
+        }
+    }
+
+    #[test]
+    fn debug_prints_the_decoded_op() {
+        assert_eq!(format!("{:?}", MicroOp::load(64)), "Load { addr: 64 }");
+        assert_eq!(
+            format!("{:?}", MicroOp::atomic_returning(8)),
+            "Atomic { addr: 8, returns_value: true }"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 61 bits")]
+    fn address_past_61_bits_rejected() {
+        MicroOp::load(1 << 61);
     }
 
     #[test]
