@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Result-store smoke tests (docs/robustness.md, "Result store"):
 #
-#   1. warm-store re-run performs ZERO simulations (trace-asserted);
+#   1. warm-store re-run performs ZERO simulations (trace-asserted),
+#      on one worker and on two, with byte-identical output;
 #   2. an injected torn write degrades exactly one publish and the
 #      next run repairs + back-fills it;
 #   3. an injected checksum flip is detected on reload and only the
@@ -43,6 +44,17 @@ cells=$(grep -c '"type":"cell_start"' "$WORK/warm.jsonl")
 hits=$(grep -c '"type":"store_hit"' "$WORK/warm.jsonl")
 test "$hits" -eq "$cells"
 echo "ok: $cells cells, $hits store hits, 0 simulations"
+# Sibling worker threads share one store handle and its read cache: a
+# two-worker warm re-run must also simulate nothing and print exactly
+# what a one-worker re-run prints.
+"${REPRO[@]}" study --scale "$SCALE" --store "$WORK/warm.store" --threads 1 \
+    > "$WORK/warm-1.out"
+"${REPRO[@]}" study --scale "$SCALE" --store "$WORK/warm.store" --threads 2 \
+    --trace-out "$WORK/warm-2.jsonl" > "$WORK/warm-2.out"
+test "$(count_ok "$WORK/warm-2.jsonl")" -eq 0
+test "$(grep -c '"type":"store_hit"' "$WORK/warm-2.jsonl")" -eq "$cells"
+cmp "$WORK/warm-1.out" "$WORK/warm-2.out"
+echo "ok: two-worker warm re-run matches one worker byte for byte"
 
 echo "=== 2. torn write: detected, repaired, back-filled ==="
 out=$("${REPRO[@]}" study --scale "$SCALE" --store "$WORK/torn.store" \

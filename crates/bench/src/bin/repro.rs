@@ -14,6 +14,7 @@
 //!             [--inject-fault APP/GRAPH/CFG[=panic|hang|io]]...
 //!             [--store PATH] [--store-compact] [--lease-ttl-ms N]
 //!             [--inject-store-fault torn[:BYTES]|short|crc|lock]...
+//! repro store stat PATH
 //! repro bench [--iters N] [--smoke] [--out PATH]
 //!             [--baseline PATH] [--threshold PCT] [--tier NAME]...
 //! repro verify [--cell CODE]... [--smoke] [--mutations]
@@ -42,6 +43,11 @@
 //! from the surviving cells; the exit status is 0 as long as the study
 //! itself completes. `--inject-fault` sabotages named cells for testing
 //! the machinery.
+//!
+//! `repro store stat PATH` reports what a result store holds without
+//! writing to it (no lock file, no tail repair): file size, records by
+//! kind, distinct results per spec hash, every lease with its owner pid
+//! and age, and every corrupt span.
 //!
 //! `repro trace` simulates one (application, graph, configuration)
 //! point with full instrumentation and writes the event stream to
@@ -298,6 +304,12 @@ fn main() {
                      sweeps, --store-compact rewrites the store after the run) \
                      (docs/robustness.md)"
                 );
+                println!("       repro store stat PATH");
+                println!(
+                    "  store    stat: report a result store's records by kind, results \
+                     per spec hash, leases (owner pid, age) and corrupt spans, read-only \
+                     (docs/robustness.md)"
+                );
                 println!(
                     "       repro bench [--iters N] [--smoke] [--out PATH] \
                      [--baseline PATH] [--threshold PCT] [--tier NAME]..."
@@ -358,6 +370,16 @@ fn main() {
             die("verify takes no operands, only flags");
         }
         verify_cmd(&verify_cells, bench_smoke, verify_mutations);
+        return;
+    }
+    if sections.first().map(String::as_str) == Some("store") {
+        let [_, verb, path] = sections.as_slice() else {
+            die("store needs a verb and a path: repro store stat PATH");
+        };
+        if verb != "stat" {
+            die(&format!("unknown store verb {verb:?} (expected stat)"));
+        }
+        store_stat(path);
         return;
     }
     if sections.first().map(String::as_str) == Some("study") {
@@ -495,6 +517,68 @@ fn main() {
         if want("summary") {
             summary(&study);
         }
+    }
+}
+
+/// `repro store stat PATH`: what the store at `path` holds, read-only.
+fn store_stat(path: &str) {
+    let bytes = match std::fs::metadata(path) {
+        Ok(meta) => meta.len(),
+        Err(e) => die(&format!("cannot stat store {path}: {e}")),
+    };
+    let snapshot = match ggs_core::StoreSnapshot::read(std::path::Path::new(path)) {
+        Ok(snapshot) => snapshot,
+        Err(e) => die(&format!("cannot read store {path}: {e}")),
+    };
+    let report = &snapshot.report;
+    let kinds = report.by_kind;
+    println!("store: {path}");
+    println!(
+        "file: {bytes} bytes, intact through byte {}",
+        report.valid_end
+    );
+    println!(
+        "records: {} ({} result, {} lease, {} release)",
+        report.records, kinds.results, kinds.leases, kinds.releases
+    );
+    println!("results: {} distinct", snapshot.total_results());
+    for (spec_hash, count) in snapshot.results_per_spec() {
+        println!("  spec {spec_hash}: {count}");
+    }
+    let now_ms = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_millis() as u64);
+    let leases: Vec<_> = snapshot.leases().collect();
+    let live = leases
+        .iter()
+        .filter(|(_, _, lease)| lease.expires_in_ms(now_ms) > 0)
+        .count();
+    println!(
+        "leases: {} ({live} live, {} expired)",
+        leases.len(),
+        leases.len() - live
+    );
+    for (spec_hash, key, lease) in &leases {
+        let state = match lease.expires_in_ms(now_ms) {
+            0 => "expired".to_owned(),
+            left => format!("live, expires in {left} ms"),
+        };
+        println!(
+            "  spec {spec_hash} {key}: owner pid {}, age {} ms, {state}",
+            lease.owner,
+            now_ms.saturating_sub(lease.acquired_ms)
+        );
+    }
+    println!(
+        "corrupt spans: {} ({} bytes)",
+        report.corrupt.len(),
+        report.corrupt_bytes()
+    );
+    for span in &report.corrupt {
+        println!(
+            "  at byte {}: {} bytes, {}",
+            span.offset, span.bytes, span.detail
+        );
     }
 }
 

@@ -180,3 +180,43 @@ fn check_certifies_every_workload_clean() {
         .expect("DRF0 PR push line");
     assert!(!drf0_push.contains("(0 fence"), "{drf0_push}");
 }
+
+#[test]
+fn store_stat_reports_a_flipped_checksum_without_writing() {
+    let dir = std::env::temp_dir().join(format!("ggs-cli-store-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = dir.join("crc.store");
+    let _ = std::fs::remove_file(&path);
+    let store = path.to_str().expect("utf8 path");
+    let out = repro(&[
+        "study",
+        "--scale",
+        "0.004",
+        "--store",
+        store,
+        "--inject-store-fault",
+        "crc",
+    ]);
+    let cells: usize = out
+        .lines()
+        .find_map(|l| l.strip_prefix("study: ")?.split(' ').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no study summary in:\n{out}"));
+    let before = std::fs::read(&path).expect("store written");
+
+    let stat = repro(&["store", "stat", store]);
+    // The one flipped result is reported, not counted.
+    assert!(stat.contains("corrupt spans: 1 ("), "{stat}");
+    assert!(stat.contains("checksum mismatch"), "{stat}");
+    let results = cells - 1;
+    assert!(
+        stat.contains(&format!("results: {results} distinct")),
+        "{stat}"
+    );
+    assert!(
+        stat.contains(&format!("({results} result, {cells} lease, 0 release)")),
+        "{stat}"
+    );
+    // Read-only: no repair, no lock file left behind.
+    assert_eq!(std::fs::read(&path).expect("store still there"), before);
+    assert!(!dir.join("crc.store.lock").exists());
+}

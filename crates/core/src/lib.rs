@@ -66,7 +66,9 @@ pub use runner::{
     run_study, CellFailure, CellReport, CellStatus, Fault, FaultPlan, RetryPolicy, StudyOptions,
     StudyOutcome,
 };
-pub use store::{Claim, CompactReport, Store, StoreFaults, StoreLoadReport, StoreSnapshot};
+pub use store::{
+    Claim, CompactReport, RecordCounts, Store, StoreFaults, StoreLoadReport, StoreSnapshot,
+};
 pub use study::{Study, WorkloadReport};
 pub use sweep::WorkloadSweep;
 pub use trace_cache::{graph_fingerprint, StreamKey, TraceCache, TraceCacheStats, TraceStream};

@@ -26,6 +26,10 @@
 //!   [`crate::runner::RetryPolicy`]); per-cell *lease* records let N
 //!   concurrent processes partition a sweep without simulating any
 //!   cell twice ([`Store::try_claim`]).
+//! * **Incremental reads** — a handle keeps the last snapshot it
+//!   read, so each claim parses only the records appended since; it
+//!   rescans the whole file whenever resuming might not be exact
+//!   ([`Store::try_claim`] lists when).
 //! * **Compaction** — [`Store::compact`] rewrites the store to only
 //!   the newest result per cell via write-to-temp + atomic rename, so
 //!   a crash during compaction leaves either the old or the new file,
@@ -54,10 +58,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use crate::error::GgsError;
@@ -91,6 +95,12 @@ const MAX_RECORD_LEN: u32 = 1 << 20;
 
 const HEADER_LEN: usize = 16;
 const FRAME_LEN: usize = 12;
+
+/// Framing error of a record whose payload runs past the end of the
+/// bytes scanned. Unlike every other framing error it is not final:
+/// once more bytes follow, the same frame can read as a checksum
+/// mismatch instead.
+const CUT_SHORT: &str = "truncated record payload";
 
 /// How long a lock file may exist before another process may presume
 /// its owner dead and reclaim it.
@@ -299,6 +309,8 @@ pub struct CorruptSpan {
 pub struct StoreLoadReport {
     /// Records decoded successfully.
     pub records: usize,
+    /// The decoded records split by kind; the counts sum to `records`.
+    pub by_kind: RecordCounts,
     /// Corrupt spans skipped (torn/truncated/bit-flipped records).
     pub corrupt: Vec<CorruptSpan>,
     /// Offset one past the last intact frame; open-for-write repair
@@ -313,19 +325,53 @@ impl StoreLoadReport {
     }
 }
 
+/// Decoded records of each kind ([`StoreLoadReport::by_kind`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RecordCounts {
+    /// [`Record::Result`] records, superseded duplicates included.
+    pub results: usize,
+    /// [`Record::Lease`] records.
+    pub leases: usize,
+    /// [`Record::Release`] records.
+    pub releases: usize,
+}
+
 /// The store's replayed logical state plus the load report.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreSnapshot {
     /// Latest result per `(spec_hash, cell key)`; later records win.
     results: BTreeMap<(String, String), ResultRow>,
-    /// Live (unreleased, unsuperseded) leases per `(spec_hash, key)`.
+    /// Unreleased, unsuperseded leases per `(spec_hash, key)`, expired
+    /// ones included.
     leases: BTreeMap<(String, String), (u32, u64, u64)>,
     /// What the scan observed.
     pub report: StoreLoadReport,
 }
 
 impl StoreSnapshot {
+    /// Reads the store at `path` without opening it for writing: no
+    /// lock file, no tail repair, nothing written. A missing file reads
+    /// as an empty store. Meant for inspecting a store that other
+    /// processes may be using (`repro store stat`).
+    pub fn read(path: &Path) -> Result<StoreSnapshot, GgsError> {
+        let mut file = match File::open(path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok(StoreSnapshot::default())
+            }
+            Err(e) => return Err(GgsError::Io(e)),
+        };
+        Ok(scan(&read_from(&mut file, 0)?)?.0)
+    }
+
     fn replay(&mut self, record: Record) {
+        let counts = &mut self.report.by_kind;
+        match &record {
+            Record::Result { .. } => counts.results += 1,
+            Record::Lease { .. } => counts.leases += 1,
+            Record::Release { .. } => counts.releases += 1,
+        }
+        self.report.records += 1;
         match record {
             Record::Result {
                 spec_hash,
@@ -396,6 +442,31 @@ impl StoreSnapshot {
     /// Total distinct results across every spec hash.
     pub fn total_results(&self) -> usize {
         self.results.len()
+    }
+
+    /// Distinct results per spec hash.
+    pub fn results_per_spec(&self) -> BTreeMap<&str, usize> {
+        let mut counts = BTreeMap::new();
+        for (spec_hash, _) in self.results.keys() {
+            *counts.entry(spec_hash.as_str()).or_insert(0) += 1;
+        }
+        counts
+    }
+
+    /// Every unreleased, unsuperseded lease as `(spec_hash, key,
+    /// lease)`, live or expired; [`StoreLease::expires_in_ms`] tells
+    /// them apart.
+    pub fn leases(&self) -> impl Iterator<Item = (&str, &str, StoreLease)> {
+        self.leases
+            .iter()
+            .map(|((spec_hash, key), &(owner, acquired_ms, ttl_ms))| {
+                let lease = StoreLease {
+                    owner,
+                    acquired_ms,
+                    ttl_ms,
+                };
+                (spec_hash.as_str(), key.as_str(), lease)
+            })
     }
 }
 
@@ -560,12 +631,94 @@ impl fmt::Display for CompactReport {
     }
 }
 
+/// `(st_dev, st_ino)`: which file a path named when it was read.
+type FileId = (u64, u64);
+
+#[cfg(unix)]
+fn file_id(meta: &std::fs::Metadata) -> Option<FileId> {
+    use std::os::unix::fs::MetadataExt as _;
+    Some((meta.dev(), meta.ino()))
+}
+
+/// Without a stable file identity every read is a full scan.
+#[cfg(not(unix))]
+fn file_id(_meta: &std::fs::Metadata) -> Option<FileId> {
+    None
+}
+
+/// A point at which a scan of the store file can be resumed exactly:
+/// the file is the one scanned, it ends on a frame boundary at
+/// `covered`, and no frame before it depends on bytes after it.
+#[derive(Debug, Clone, Copy)]
+struct Resume {
+    id: FileId,
+    /// File length the snapshot covers.
+    covered: u64,
+    /// Offset and 12-byte header of the last intact frame, if any. A
+    /// rewrite that reuses the inode (one compaction renaming over
+    /// another) shows up as a different header here.
+    last_frame: Option<(u64, [u8; FRAME_LEN])>,
+}
+
+impl Resume {
+    /// Whether `file` (with metadata `meta`) still starts with the
+    /// bytes this point covers, as far as identity, length and the last
+    /// frame's header can tell.
+    fn still_matches(&self, file: &mut File, meta: &std::fs::Metadata) -> std::io::Result<bool> {
+        if file_id(meta) != Some(self.id) || meta.len() < self.covered {
+            return Ok(false);
+        }
+        let Some((at, header)) = self.last_frame else {
+            return Ok(true);
+        };
+        let mut now = [0u8; FRAME_LEN];
+        file.seek(SeekFrom::Start(at))?;
+        file.read_exact(&mut now)?;
+        Ok(now == header)
+    }
+}
+
+/// What a handle remembers between reads, so that the next read parses
+/// only the bytes appended since ([`Store::refresh`]).
+#[derive(Debug, Default)]
+struct ReadCache {
+    /// Equal to a full scan of the first `resume.covered` bytes of the
+    /// file; meaningless while `resume` is `None`.
+    snapshot: StoreSnapshot,
+    /// Where the next read may resume; `None` forces a full scan.
+    resume: Option<Resume>,
+}
+
+impl ReadCache {
+    /// A cache holding a full scan of `bytes`, read from file `id`. It
+    /// can be resumed only where the scan ended on a frame boundary at
+    /// the end of the bytes, with no frame cut short before it.
+    fn scanned(bytes: &[u8], id: Option<FileId>) -> Result<Self, GgsError> {
+        let (snapshot, end) = scan(bytes)?;
+        let covered = bytes.len() as u64;
+        let resume = match (id, end) {
+            (Some(id), Some(end)) if !end.cut_short && snapshot.report.valid_end == covered => {
+                Some(Resume {
+                    id,
+                    covered,
+                    last_frame: end.last_frame,
+                })
+            }
+            _ => None,
+        };
+        Ok(Self { snapshot, resume })
+    }
+}
+
 /// A handle on one on-disk result store.
 ///
 /// The handle is `Sync`: study worker threads share one `Store`, and
 /// independent processes open their own handles on the same path. All
 /// mutation serializes through the advisory lock file; the in-process
 /// mutex merely keeps sibling threads from thrashing the lock.
+///
+/// The handle caches the last snapshot it read, so a read parses only
+/// the bytes appended since the previous one (see [`Store::try_claim`]).
 #[derive(Debug)]
 pub struct Store {
     path: PathBuf,
@@ -575,6 +728,8 @@ pub struct Store {
     faults: StoreFaults,
     /// Serializes lock-file acquisition among this process's threads.
     local: Mutex<()>,
+    /// The last snapshot read, shared by this handle's threads.
+    cache: Mutex<ReadCache>,
 }
 
 impl Store {
@@ -609,6 +764,7 @@ impl Store {
             },
             faults,
             local: Mutex::new(()),
+            cache: Mutex::new(ReadCache::default()),
         };
         {
             let _lock = store.acquire_lock()?;
@@ -635,15 +791,12 @@ impl Store {
     /// into a [`StoreSnapshot`]; torn/truncated/bit-flipped records
     /// are skipped and reported on `snapshot.report`. Never panics;
     /// errors only on unreadable files or a foreign/newer header.
+    ///
+    /// Reads only the bytes appended since this handle's previous read
+    /// when it can ([`Store::try_claim`] says when); the snapshot
+    /// always equals a full scan of the file as it is now.
     pub fn load(&self) -> Result<StoreSnapshot, GgsError> {
-        let bytes = match std::fs::read(&self.path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(StoreSnapshot::default())
-            }
-            Err(e) => return Err(GgsError::Io(e)),
-        };
-        scan(&bytes)
+        self.refresh(&mut self.cache()).cloned()
     }
 
     /// Publishes a completed cell result (append + flush under the
@@ -665,13 +818,27 @@ impl Store {
         self.append_locked(&record, true)
     }
 
-    /// Attempts to claim cell `key` for this process: re-reads the
-    /// store under the lock, and returns the existing result, a fresh
-    /// lease, or the live competing lease. Expired leases are
-    /// reclaimed (expiry-based recovery from crashed owners).
+    /// Attempts to claim cell `key` for this process: brings the
+    /// handle's snapshot up to date under the lock, and returns the
+    /// existing result, a fresh lease, or the live competing lease.
+    /// Expired leases are reclaimed (expiry-based recovery from crashed
+    /// owners).
+    ///
+    /// The update reads only the bytes appended since the handle's
+    /// previous read, and replays them onto the snapshot it kept. It
+    /// falls back to a full scan, which also reseeds the kept snapshot,
+    /// whenever that might not be exact: the path names a different
+    /// file (a compaction renamed one in), the file is shorter than
+    /// what was read (a repair truncated it), the last frame read has a
+    /// different header now, the new bytes hold any framing error, or
+    /// the previous read ended in garbage or in a frame cut short by
+    /// the end of the file. Bytes already checksummed are not
+    /// re-verified; an out-of-band edit inside them is seen by the next
+    /// [`Store::open`].
     pub fn try_claim(&self, spec_hash: &str, key: &str, ttl: Duration) -> Result<Claim, GgsError> {
         let _lock = self.acquire_lock()?;
-        let snapshot = self.load()?;
+        let mut cache = self.cache();
+        let snapshot = self.refresh(&mut cache)?;
         if let Some(row) = snapshot.lookup(spec_hash, key) {
             return Ok(Claim::Done(row.clone()));
         }
@@ -813,18 +980,61 @@ impl Store {
     /// Truncates trailing garbage (a torn final write) back to the
     /// last intact frame, so appends after a crash remain parseable.
     /// Mid-file corruption is left in place — readers skip it — but a
-    /// corrupt *tail* would corrupt every subsequent append. Must hold
-    /// the lock.
+    /// corrupt *tail* would corrupt every subsequent append. Seeds the
+    /// read cache with the scan; a scan that needed repair ends in
+    /// garbage and cannot be resumed, so the first read after a repair
+    /// rescans. Must hold the lock.
     fn repair_tail_locked(&self) -> Result<(), GgsError> {
-        let bytes = std::fs::read(&self.path)?;
-        let snapshot = scan(&bytes)?;
-        let valid_end = snapshot.report.valid_end;
+        let mut file = File::open(&self.path)?;
+        let id = file_id(&file.metadata()?);
+        let bytes = read_from(&mut file, 0)?;
+        let seed = ReadCache::scanned(&bytes, id)?;
+        let valid_end = seed.snapshot.report.valid_end;
         if valid_end < bytes.len() as u64 {
             let file = OpenOptions::new().write(true).open(&self.path)?;
             file.set_len(valid_end)?;
             file.sync_all()?;
         }
+        *self.cache() = seed;
         Ok(())
+    }
+
+    fn cache(&self) -> MutexGuard<'_, ReadCache> {
+        // A panic mid-refresh leaves `resume` unset (it is taken first
+        // and restored last), so the next refresh rescans in full.
+        self.cache.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Brings `cache` up to date with the file and returns its
+    /// snapshot: replays only the bytes appended since the previous
+    /// read when the cached resume point still matches the file, and
+    /// rescans the whole file otherwise (see [`Store::try_claim`]).
+    fn refresh<'c>(&self, cache: &'c mut ReadCache) -> Result<&'c StoreSnapshot, GgsError> {
+        let mut file = match File::open(&self.path) {
+            Ok(file) => file,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                *cache = ReadCache::default();
+                return Ok(&cache.snapshot);
+            }
+            Err(e) => return Err(GgsError::Io(e)),
+        };
+        let meta = file.metadata()?;
+        if let Some(resume) = cache.resume.take() {
+            if resume.still_matches(&mut file, &meta)? {
+                let tail = read_from(&mut file, resume.covered)?;
+                let end = scan_from(&mut cache.snapshot, &tail, resume.covered);
+                if !end.resynced {
+                    cache.resume = Some(Resume {
+                        covered: resume.covered + tail.len() as u64,
+                        last_frame: end.last_frame.or(resume.last_frame),
+                        ..resume
+                    });
+                    return Ok(&cache.snapshot);
+                }
+            }
+        }
+        *cache = ReadCache::scanned(&read_from(&mut file, 0)?, file_id(&meta))?;
+        Ok(&cache.snapshot)
     }
 
     /// Appends one framed record and flushes it. Must hold the lock.
@@ -1004,65 +1214,98 @@ fn check_header(head: &[u8]) -> Result<usize, GgsError> {
     Ok(HEADER_LEN)
 }
 
+/// Reads `file` from byte `offset` to its end.
+fn read_from(file: &mut File, offset: u64) -> std::io::Result<Vec<u8>> {
+    let mut bytes = Vec::new();
+    file.seek(SeekFrom::Start(offset))?;
+    file.read_to_end(&mut bytes)?;
+    #[cfg(test)]
+    tests::BYTES_READ.with(|n| n.set(n.get() + bytes.len() as u64));
+    Ok(bytes)
+}
+
+/// How a [`scan_from`] pass over some bytes ended.
+#[derive(Debug, Default)]
+struct ScanEnd {
+    /// Offset and header of the last intact frame, if the pass decoded
+    /// one.
+    last_frame: Option<(u64, [u8; FRAME_LEN])>,
+    /// Some frame failed to decode and the pass resynchronized.
+    resynced: bool,
+    /// Some frame failed only because its payload ran past the end of
+    /// the bytes ([`CUT_SHORT`]).
+    cut_short: bool,
+}
+
 /// Tolerant scan of a whole store image: frames and replays every
-/// intact record, resynchronizing on corruption. Never panics.
-fn scan(bytes: &[u8]) -> Result<StoreSnapshot, GgsError> {
+/// intact record, resynchronizing on corruption. Never panics. The
+/// [`ScanEnd`] is `None` when the image is too short to hold a header.
+fn scan(bytes: &[u8]) -> Result<(StoreSnapshot, Option<ScanEnd>), GgsError> {
     let mut snapshot = StoreSnapshot::default();
     if bytes.is_empty() {
-        return Ok(snapshot);
+        return Ok((snapshot, None));
     }
     let consumed = check_header(bytes)?;
-    let mut pos = consumed;
-    snapshot.report.valid_end = pos as u64;
-    if consumed < HEADER_LEN {
+    snapshot.report.valid_end = consumed as u64;
+    let Some(records) = bytes.get(HEADER_LEN..) else {
         // Truncated header: nothing else can follow.
-        return Ok(snapshot);
-    }
+        return Ok((snapshot, None));
+    };
+    let end = scan_from(&mut snapshot, records, HEADER_LEN as u64);
+    Ok((snapshot, Some(end)))
+}
 
+/// Frames the records in `bytes`, which sit at file offset `base`, and
+/// replays them onto `snapshot`, resynchronizing on corruption. A full
+/// scan runs it once over everything after the header; an incremental
+/// read runs it over the bytes appended since the previous read.
+fn scan_from(snapshot: &mut StoreSnapshot, bytes: &[u8], base: u64) -> ScanEnd {
+    let mut end = ScanEnd::default();
+    let mut pos = 0;
     while pos < bytes.len() {
+        let offset = base + pos as u64;
         match frame_at(bytes, pos) {
             Ok((payload, next)) => {
                 match Record::parse(payload) {
                     Some(record) => snapshot.replay(record),
                     None => snapshot.report.corrupt.push(CorruptSpan {
-                        offset: pos as u64,
+                        offset,
                         bytes: (next - pos) as u64,
                         detail: "framed record with unparseable payload",
                     }),
                 }
                 // Framing was intact either way, so it is safe to
                 // append after this point.
-                snapshot.report.records += usize::from(
-                    snapshot
-                        .report
-                        .corrupt
-                        .last()
-                        .is_none_or(|c| c.offset != pos as u64),
-                );
-                snapshot.report.valid_end = next as u64;
+                snapshot.report.valid_end = base + next as u64;
+                end.last_frame = frame_header(bytes, pos).map(|header| (offset, header));
                 pos = next;
             }
             Err(detail) => {
                 // Resynchronize: hunt for the next record magic.
                 let resume = resync(bytes, pos + 1);
                 snapshot.report.corrupt.push(CorruptSpan {
-                    offset: pos as u64,
+                    offset,
                     bytes: (resume - pos) as u64,
                     detail,
                 });
+                end.resynced = true;
+                end.cut_short |= detail == CUT_SHORT;
                 pos = resume;
             }
         }
     }
-    Ok(snapshot)
+    end
+}
+
+/// The 12-byte frame header at `pos`, if the bytes reach that far.
+fn frame_header(bytes: &[u8], pos: usize) -> Option<[u8; FRAME_LEN]> {
+    bytes.get(pos..pos + FRAME_LEN)?.try_into().ok()
 }
 
 /// Attempts to decode one frame at `pos`; returns the payload and the
 /// offset one past the frame.
 fn frame_at(bytes: &[u8], pos: usize) -> Result<(&str, usize), &'static str> {
-    let header = bytes
-        .get(pos..pos + FRAME_LEN)
-        .ok_or("truncated frame header")?;
+    let header = frame_header(bytes, pos).ok_or("truncated frame header")?;
     let magic = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
     if magic != RECORD_MAGIC {
         return Err("bad record magic");
@@ -1074,7 +1317,7 @@ fn frame_at(bytes: &[u8], pos: usize) -> Result<(&str, usize), &'static str> {
     let crc = u32::from_le_bytes([header[8], header[9], header[10], header[11]]);
     let payload = bytes
         .get(pos + FRAME_LEN..pos + FRAME_LEN + len as usize)
-        .ok_or("truncated record payload")?;
+        .ok_or(CUT_SHORT)?;
     if fnv1a32(payload) != crc {
         return Err("checksum mismatch");
     }
@@ -1098,6 +1341,23 @@ fn resync(bytes: &[u8], from: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Bytes this thread has read from store files to scan them:
+        /// the work count that pins a read to the bytes appended since
+        /// the previous one. The 12-byte last-frame check is not a scan
+        /// and is not counted.
+        pub(super) static BYTES_READ: Cell<u64> = const { Cell::new(0) };
+    }
+
+    fn bytes_read() -> u64 {
+        BYTES_READ.with(Cell::get)
+    }
+
+    fn file_len(path: &Path) -> u64 {
+        std::fs::metadata(path).expect("store exists").len()
+    }
 
     fn temp_store(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("ggs-store-unit-{}", std::process::id()));
@@ -1386,6 +1646,81 @@ mod tests {
         assert!(store.lock_is_stale());
         store.publish("h", "PR", "AMZ", &row("TG0", 2)).unwrap();
         assert_eq!(store.load().unwrap().completed_for("h").len(), 2);
+    }
+
+    #[test]
+    fn claims_read_only_the_bytes_appended_since_the_last_read() {
+        let path = temp_store("work-count.store");
+        let ttl = Duration::from_secs(60);
+        {
+            let store = Store::open(&path).expect("open");
+            for i in 0..20 {
+                store
+                    .publish("h", "PR", "AMZ", &row(&format!("C{i}"), i))
+                    .unwrap();
+            }
+        }
+        // Opening reads the store once; claims against it read nothing
+        // more while nothing is appended.
+        let store = Store::open(&path).expect("reopen warm");
+        let before = bytes_read();
+        for i in 0..20 {
+            assert_eq!(
+                store.try_claim("h", &format!("PR/AMZ/C{i}"), ttl).unwrap(),
+                Claim::Done(row(&format!("C{i}"), i))
+            );
+        }
+        assert_eq!(store.load().unwrap().completed_for("h").len(), 20);
+        assert_eq!(bytes_read(), before, "warm claims must read no bytes");
+
+        // Each claim reads exactly what was appended since the previous
+        // one read the file: that claim's own lease, plus a peer's
+        // results.
+        let peer = Store::open(&path)
+            .expect("peer")
+            .with_owner(store.owner + 1);
+        let mut covered = file_len(&path);
+        for i in 0..10u64 {
+            for j in 0..i % 3 {
+                peer.publish("h", "CC", "RAJ", &row(&format!("P{i}.{j}"), i))
+                    .unwrap();
+            }
+            let len = file_len(&path);
+            let start = bytes_read();
+            assert_eq!(
+                store.try_claim("h", &format!("PR/AMZ/N{i}"), ttl).unwrap(),
+                Claim::Claimed
+            );
+            assert_eq!(bytes_read() - start, len - covered, "claim {i}");
+            covered = len;
+        }
+        assert_eq!(
+            store.load().unwrap(),
+            scan(&std::fs::read(&path).unwrap()).unwrap().0
+        );
+    }
+
+    #[test]
+    fn a_file_renamed_in_is_rescanned_even_when_its_last_frame_matches() {
+        let path = temp_store("renamed.store");
+        let store = Store::open(&path).expect("open");
+        store.publish("h", "PR", "AMZ", &row("SGR", 1)).unwrap();
+        store.publish("h", "PR", "AMZ", &row("TG0", 2)).unwrap();
+        assert_eq!(
+            store.load().unwrap().lookup("h", "PR/AMZ/SGR"),
+            Some(&row("SGR", 1))
+        );
+        // Same length and same last frame; only the first record differs.
+        let other = temp_store("renamed.store.new");
+        let writer = Store::open(&other).expect("open other");
+        writer.publish("h", "PR", "AMZ", &row("SGR", 9)).unwrap();
+        writer.publish("h", "PR", "AMZ", &row("TG0", 2)).unwrap();
+        assert_eq!(file_len(&other), file_len(&path));
+        std::fs::rename(&other, &path).unwrap();
+        assert_eq!(
+            store.load().unwrap().lookup("h", "PR/AMZ/SGR"),
+            Some(&row("SGR", 9))
+        );
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //! * a corrupt record in the middle of a store is reported through
 //!   `StudyOutcome::store_report` and the study is still byte-identical;
 //! * two concurrent runners sharing one store complete the sweep with
-//!   **no cell simulated twice**.
+//!   **no cell simulated twice**;
+//! * a handle that reads only the bytes appended since its previous
+//!   read always sees **exactly what a full scan sees**, through
+//!   faults, peer appends, compaction, truncation and rewrites.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -23,7 +26,7 @@ use std::path::{Path, PathBuf};
 use ggs_core::runner::{
     run_study, spec_hash, CellStatus, Fault, FaultPlan, StudyOptions, StudyOutcome,
 };
-use ggs_core::store::{versioned_spec_hash, Store, StoreFaults};
+use ggs_core::store::{versioned_spec_hash, Store, StoreFaults, StoreSnapshot};
 use ggs_core::study::{ConfigSet, ResultRow};
 use ggs_core::{ExperimentSpec, MetricsRegistry};
 use ggs_trace::{JsonlSink, NOOP};
@@ -377,4 +380,101 @@ fn corrupt_store_records_are_surfaced_by_the_study() {
     assert_eq!(skipped, resumed.cells.len() - 1);
     assert_eq!(resumed.study, first.study);
     assert_eq!(resumed.study.to_json(), first.study.to_json());
+}
+
+/// One handle is driven through a seeded random mix of everything that
+/// can happen to a store file between its reads. After every step its
+/// incrementally refreshed snapshot must equal a full scan of the
+/// file's bytes: results, leases, record counts, corrupt spans and
+/// `valid_end`.
+#[test]
+fn incremental_reads_equal_a_full_scan() {
+    use std::time::Duration;
+
+    let path = temp_path("incremental.store");
+    let other = temp_path("incremental-other.store");
+    let copy = temp_path("incremental-copy.store");
+    let faults = StoreFaults::none();
+    let store = Store::open_with(&path, faults.clone()).expect("open");
+    let ttl = Duration::from_secs(60);
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move |n: u64| {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state % n
+    };
+    let peer = || Store::open(&path).expect("peer opens").with_owner(7);
+    for step in 0..300u64 {
+        let config = format!("C{}", next(16));
+        let key = format!("PR/AMZ/{config}");
+        let action = next(12);
+        match action {
+            0..=2 => {
+                let _ = store.publish("h", "PR", "AMZ", &row(&config, step));
+            }
+            3 | 4 => {
+                store.try_claim("h", &key, ttl).expect("claim");
+            }
+            5 => store.release("h", &key).expect("release"),
+            6 => {
+                let _ = faults.clone().torn_write(next(60));
+                let _ = store.publish("h", "PR", "AMZ", &row(&config, step));
+            }
+            7 => {
+                let _ = faults.clone().crc_flips(1);
+                store
+                    .publish("h", "PR", "AMZ", &row(&config, step))
+                    .expect("a flipped checksum still writes");
+            }
+            8 => {
+                let peer = peer();
+                peer.publish("h", "CC", "RAJ", &row(&config, step))
+                    .expect("peer publish");
+                peer.try_claim("h", &format!("CC/RAJ/{config}"), ttl)
+                    .expect("peer claim");
+            }
+            9 => {
+                peer().compact().expect("peer compacts");
+            }
+            10 => {
+                // A truncated copy renamed in, or the file cut in place;
+                // either way a new handle opens (and repairs) it.
+                let bytes = std::fs::read(&path).expect("read store");
+                let cut = next(bytes.len() as u64 + 1) as usize;
+                if next(2) == 0 {
+                    std::fs::write(&copy, &bytes[..cut]).expect("write copy");
+                    std::fs::rename(&copy, &path).expect("rename copy in");
+                } else {
+                    let file = std::fs::OpenOptions::new()
+                        .write(true)
+                        .open(&path)
+                        .expect("open for truncation");
+                    file.set_len(cut as u64).expect("truncate");
+                }
+                drop(peer());
+            }
+            _ => {
+                // A different, longer store written over the same inode.
+                let len = std::fs::metadata(&path).expect("store exists").len();
+                let _ = std::fs::remove_file(&other);
+                let writer = Store::open(&other).expect("open other store");
+                let mut i = 0;
+                while std::fs::metadata(&other).expect("other exists").len() <= len {
+                    writer
+                        .publish("other", "MIS", "WNG", &row(&format!("X{i}"), step))
+                        .expect("publish to other store");
+                    i += 1;
+                }
+                let bytes = std::fs::read(&other).expect("read other store");
+                std::fs::write(&path, bytes).expect("rewrite in place");
+            }
+        }
+        let full = StoreSnapshot::read(&path).expect("full scan");
+        assert_eq!(
+            store.load().expect("incremental load"),
+            full,
+            "step {step}, action {action}"
+        );
+    }
 }
