@@ -197,21 +197,26 @@ impl Cache {
 
     /// Finds the way within `range` holding `line`, if it is resident.
     /// Scans a subslice of packed words so the compiler drops per-way
-    /// bounds checks and the whole probe is two compares per way
-    /// against one loaded word (this is the innermost loop of the whole
-    /// simulator).
+    /// bounds checks, and folds over every way with no early exit: a
+    /// resident line matches at most one way, so the fold finds the
+    /// same way a first-match search would, and the compiler is free to
+    /// use a select per way instead of a data-dependent branch (this is
+    /// the innermost loop of the whole simulator).
     #[inline]
     fn find_way(&self, range: &std::ops::Range<usize>, line: u64) -> Option<usize> {
         Self::check_line(line);
         let live = valid_word(line, self.epoch);
         let owned = owned_word(line);
         let words = &self.words[range.clone()];
+        let mut hit = usize::MAX;
         for (w, &word) in words.iter().enumerate() {
-            if word == live || word == owned {
-                return Some(range.start + w);
-            }
+            hit = if word == live || word == owned {
+                w
+            } else {
+                hit
+            };
         }
-        None
+        (hit != usize::MAX).then(|| range.start + hit)
     }
 
     /// Looks up a line, refreshing its LRU position on hit.
@@ -253,10 +258,11 @@ impl Cache {
     /// The probe is two passes: a pure hit scan touching only the packed
     /// words (the common case — the L2 hits ~95% of the time — pays for
     /// no LRU stamps at all), then a victim scan over words + stamps
-    /// only when the hit scan came up empty. The victim chosen is
-    /// identical to a single fused pass: the hit check cannot match
-    /// during the second pass, so the victim fold sees the same
-    /// sequence either way.
+    /// only when the hit scan came up empty. The victim scan is a
+    /// branch-free min fold over `key = if resident { stamp } else { 0 }`
+    /// with a strict `<`: resident stamps are unique and non-zero, so
+    /// the first dead way wins, and with no dead way the least recently
+    /// used one does.
     #[inline]
     fn find_way_or_victim(
         &self,
@@ -273,16 +279,11 @@ impl Cache {
         let mut victim_stamp = u64::MAX;
         for (w, (&word, &st)) in words.iter().zip(stamps).enumerate() {
             let resident = word & 0b11 == OWNED
-                || (word & 0b11 == VALID
-                    && word & ((EPOCH_MAX << STATE_BITS) | 0b11) == epoch_bits | VALID);
-            if !resident {
-                if victim_stamp != 0 {
-                    victim = w;
-                    victim_stamp = 0;
-                }
-            } else if st < victim_stamp {
+                || word & ((EPOCH_MAX << STATE_BITS) | 0b11) == epoch_bits | VALID;
+            let key = if resident { st } else { 0 };
+            if key < victim_stamp {
                 victim = w;
-                victim_stamp = st;
+                victim_stamp = key;
             }
         }
         (None, range.start + victim, victim_stamp)
@@ -632,6 +633,208 @@ mod tests {
             b.sort_unstable_by_key(|&(l, _)| l);
             assert_eq!(a, b, "contents diverged after access #{n}");
         }
+    }
+
+    /// Deterministic pseudo-random stream (splitmix64).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Naive LRU reference: each set is a list of resident
+    /// `(line, state, stamp)` entries, the victim of a full set is the
+    /// entry with the smallest stamp, and flash invalidation removes
+    /// every `Valid` entry.
+    struct Model {
+        sets: Vec<Vec<(u64, LineState, u64)>>,
+        ways: usize,
+        clock: u64,
+    }
+
+    impl Model {
+        fn new(sets: u64, ways: usize) -> Self {
+            Self {
+                sets: (0..sets).map(|_| Vec::new()).collect(),
+                ways,
+                clock: 0,
+            }
+        }
+
+        fn set(&mut self, line: u64) -> &mut Vec<(u64, LineState, u64)> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(line % n) as usize]
+        }
+
+        fn entry(&mut self, line: u64) -> Option<&mut (u64, LineState, u64)> {
+            self.set(line).iter_mut().find(|e| e.0 == line)
+        }
+
+        fn peek(&mut self, line: u64) -> Option<LineState> {
+            self.entry(line).map(|e| e.1)
+        }
+
+        fn lookup(&mut self, line: u64) -> Option<LineState> {
+            self.clock += 1;
+            let clock = self.clock;
+            let e = self.entry(line)?;
+            e.2 = clock;
+            Some(e.1)
+        }
+
+        fn insert(&mut self, line: u64, state: LineState) -> Option<Eviction> {
+            self.clock += 1;
+            let (clock, ways) = (self.clock, self.ways);
+            if let Some(e) = self.entry(line) {
+                *e = (line, state, clock);
+                return None;
+            }
+            let set = self.set(line);
+            let mut evicted = None;
+            if set.len() == ways {
+                let lru = (0..ways).min_by_key(|&i| set[i].2).expect("full set");
+                let (line, state, _) = set.swap_remove(lru);
+                evicted = Some(Eviction { line, state });
+            }
+            set.push((line, state, clock));
+            evicted
+        }
+
+        fn set_state(&mut self, line: u64, state: LineState) {
+            if let Some(e) = self.entry(line) {
+                e.1 = state;
+            }
+        }
+
+        fn invalidate(&mut self, line: u64) -> Option<LineState> {
+            let set = self.set(line);
+            let i = set.iter().position(|e| e.0 == line)?;
+            Some(set.swap_remove(i).1)
+        }
+
+        fn invalidate_unowned(&mut self) -> u64 {
+            let mut n = 0;
+            for set in &mut self.sets {
+                let before = set.len();
+                set.retain(|e| e.1 == LineState::Owned);
+                n += (before - set.len()) as u64;
+            }
+            n
+        }
+
+        fn resident_lines(&self) -> Vec<(u64, LineState)> {
+            let mut v: Vec<_> = self.sets.iter().flatten().map(|e| (e.0, e.1)).collect();
+            v.sort_unstable_by_key(|&(l, _)| l);
+            v
+        }
+    }
+
+    /// Drives a `Cache` and the naive [`Model`] through `steps` seeded
+    /// random operations over `lines` distinct line numbers, comparing
+    /// every return value, eviction and the resident contents after
+    /// each step. `flash_every` sets how often (1 in n) a step is a
+    /// flash invalidation.
+    fn check_against_model(
+        c: &mut Cache,
+        m: &mut Model,
+        seed: u64,
+        steps: usize,
+        flash_every: u64,
+    ) {
+        let mut rng = Rng(seed);
+        let lines = c.capacity_lines() as u64 * 3;
+        let state = |r: &mut Rng| {
+            if r.below(4) == 0 {
+                LineState::Owned
+            } else {
+                LineState::Valid
+            }
+        };
+        for step in 0..steps {
+            let line = rng.below(lines);
+            let what = if rng.below(flash_every) == 0 {
+                u64::MAX
+            } else {
+                rng.below(8)
+            };
+            let ctx = format!("seed {seed} step {step} op {what} line {line}");
+            match what {
+                0 => assert_eq!(c.lookup(line), m.lookup(line), "{ctx}"),
+                1 => assert_eq!(c.peek(line), m.peek(line), "{ctx}"),
+                2 => {
+                    let s = state(&mut rng);
+                    assert_eq!(c.insert(line, s), m.insert(line, s), "{ctx}");
+                }
+                3 => {
+                    let s = state(&mut rng);
+                    let got = match c.lookup_or_victim(line) {
+                        Ok(hit) => Ok(hit),
+                        Err(v) => Err(c.fill_victim(v, line, s)),
+                    };
+                    let want = match m.lookup(line) {
+                        Some(hit) => Ok(hit),
+                        None => Err(m.insert(line, s)),
+                    };
+                    assert_eq!(got, want, "{ctx}");
+                }
+                4 => {
+                    let want = m.lookup(line).is_some();
+                    if !want {
+                        m.insert(line, LineState::Valid);
+                    }
+                    assert_eq!(c.probe_fill(line), want, "{ctx}");
+                }
+                5 => {
+                    let s = state(&mut rng);
+                    c.set_state(line, s);
+                    m.set_state(line, s);
+                }
+                6 | 7 => assert_eq!(c.invalidate(line), m.invalidate(line), "{ctx}"),
+                _ => assert_eq!(c.invalidate_unowned(), m.invalidate_unowned(), "{ctx}"),
+            }
+            assert_eq!(c.occupancy(), m.resident_lines().len(), "{ctx}");
+            let mut got: Vec<_> = c.resident_lines().collect();
+            got.sort_unstable_by_key(|&(l, _)| l);
+            assert_eq!(got, m.resident_lines(), "{ctx}");
+        }
+    }
+
+    #[test]
+    fn cache_matches_naive_lru_model() {
+        for (sets, ways) in [(4u64, 8usize), (2, 16)] {
+            for seed in 0..8 {
+                let mut c = Cache::new(sets, ways);
+                let mut m = Model::new(sets, ways);
+                check_against_model(&mut c, &mut m, seed, 4_000, 64);
+            }
+        }
+    }
+
+    #[test]
+    fn cache_matches_naive_lru_model_across_the_epoch_rescrub() {
+        let (sets, ways) = (4u64, 8usize);
+        let mut c = Cache::new(sets, ways);
+        let mut m = Model::new(sets, ways);
+        check_against_model(&mut c, &mut m, 99, 500, 64);
+        // Run the epoch up to just short of the rescrub. Only the first
+        // flash finds anything to drop.
+        assert_eq!(c.invalidate_unowned(), m.invalidate_unowned());
+        while c.epoch < EPOCH_MAX - 8 {
+            assert_eq!(c.invalidate_unowned(), 0);
+        }
+        // Frequent flashes carry the random run through the rollover.
+        check_against_model(&mut c, &mut m, 100, 2_000, 8);
+        assert!(c.epoch < 1000, "the run crossed the rescrub");
     }
 
     #[test]

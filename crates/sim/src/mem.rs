@@ -17,51 +17,37 @@ use crate::params::SystemParams;
 use crate::stats::{MemCounters, RegionStats};
 use ggs_trace::{TraceEvent, Tracer};
 
-/// Keys below this bound use the direct-indexed fast path of
-/// [`IdTable`]: one flat `key -> id + 1` array covering every key from
-/// 0, so small workloads pay a single array load and no per-page
-/// indirection.
-const DENSE_KEY_LIMIT: u64 = 1 << 24;
-
-/// Page granularity of the paged middle tier (64Ki keys per page).
+/// Page granularity of the paged tier (64Ki keys per page).
 const PAGE_BITS: u32 = 16;
 
 /// Slots per page of the paged tier.
 const PAGE_SLOTS: usize = 1 << PAGE_BITS;
 
-/// First page index of the paged tier (pages below this are covered by
-/// the direct table).
-const FIRST_PAGE: usize = (DENSE_KEY_LIMIT >> PAGE_BITS) as usize;
-
-/// Keys below this bound (and at or above [`DENSE_KEY_LIMIT`]) use the
-/// paged tier: lazily allocated 64Ki-slot pages indexed by `key >>`
-/// [`PAGE_BITS`]. Large-graph address spaces (rmat16/rmat18 and beyond)
-/// blow past the direct table but stay contiguous, so they touch a
-/// short dense run of pages — still one array load per access after the
-/// page-vector index, no hashing. Keys past this bound (pathological,
-/// ~1 TiB of simulated address space) fall to the open-addressed
-/// sparse tier.
+/// Keys below this bound use the paged tier: lazily allocated
+/// 64Ki-slot pages indexed by `key >>` [`PAGE_BITS`]. Simulated address
+/// spaces are contiguous, so they touch a short dense run of pages —
+/// one array load per access after the page-vector index, no hashing —
+/// and memory tracks the keys a run actually holds, not the largest
+/// one. Keys past this bound (pathological, ~1 TiB of simulated address
+/// space) fall to the open-addressed sparse tier.
 const PAGED_KEY_LIMIT: u64 = 1 << 40;
 
-/// Dense interner from 64-bit keys (line numbers, word addresses) to
+/// Dense interner from 64-bit keys (line numbers, word indices) to
 /// `u32` ids, built lazily as a run touches addresses. Ids index flat
 /// side tables (ownership registry, serialization chains), replacing
 /// per-access `HashMap` probes with array loads on every re-visit.
 ///
-/// Three tiers by key magnitude — direct (`< 2^24`), paged
-/// (`< 2^40`), open-addressed sparse (the rest) — chosen so the id of
-/// a key depends only on *first-touch order*, never on which tier
-/// resolved it: golden statistics are invariant to the tier layout.
+/// Two tiers by key magnitude — paged (`< 2^40`) and open-addressed
+/// sparse (the rest) — chosen so the id of a key depends only on
+/// *first-touch order*, never on which tier resolved it: golden
+/// statistics are invariant to the tier layout.
 #[derive(Debug, Default)]
 struct IdTable {
-    /// `dense[key] == id + 1`, `0` = never interned. Grows to the
-    /// largest interned key below [`DENSE_KEY_LIMIT`].
-    dense: Vec<u32>,
-    /// Paged tier for keys in `[`[`DENSE_KEY_LIMIT`]`, `
-    /// [`PAGED_KEY_LIMIT`]`)`: `pages[key >> PAGE_BITS - FIRST_PAGE]`
-    /// holds a lazily allocated 64Ki-slot `id + 1` page. The page
-    /// vector grows to the highest *touched* page, so a contiguous
-    /// big-graph address space costs one pointer per 64Ki keys.
+    /// Paged tier for keys below [`PAGED_KEY_LIMIT`]:
+    /// `pages[key >> PAGE_BITS]` holds a lazily allocated 64Ki-slot
+    /// `id + 1` page (`0` = never interned). The page vector grows to
+    /// the highest *touched* page, so an address space costs one
+    /// pointer per 64Ki keys plus one page per touched 64Ki-key run.
     pages: Vec<Option<Box<[u32]>>>,
     /// Open-addressed fallback for keys at or above
     /// [`PAGED_KEY_LIMIT`].
@@ -71,20 +57,8 @@ struct IdTable {
 
 impl IdTable {
     fn intern(&mut self, key: u64) -> u32 {
-        if key < DENSE_KEY_LIMIT {
-            let k = key as usize;
-            if k >= self.dense.len() {
-                self.dense.resize(k + 1, 0);
-            }
-            if self.dense[k] == 0 {
-                let id = self.keys.len() as u32;
-                self.keys.push(key);
-                self.dense[k] = id + 1;
-            }
-            return self.dense[k] - 1;
-        }
         if key < PAGED_KEY_LIMIT {
-            let page = (key >> PAGE_BITS) as usize - FIRST_PAGE;
+            let page = (key >> PAGE_BITS) as usize;
             if page >= self.pages.len() {
                 self.pages.resize_with(page + 1, || None);
             }
@@ -109,16 +83,10 @@ impl IdTable {
 
     #[inline]
     fn get(&self, key: u64) -> Option<u32> {
-        if key < DENSE_KEY_LIMIT {
-            return match self.dense.get(key as usize) {
-                Some(&slot) if slot != 0 => Some(slot - 1),
-                _ => None,
-            };
-        }
         if key < PAGED_KEY_LIMIT {
             return match self
                 .pages
-                .get((key >> PAGE_BITS) as usize - FIRST_PAGE)
+                .get((key >> PAGE_BITS) as usize)
                 .and_then(Option::as_deref)
             {
                 Some(page) => match page[(key & (PAGE_SLOTS as u64 - 1)) as usize] {
@@ -277,7 +245,8 @@ pub struct MemorySystem<'t> {
     owned_pos: Vec<u32>,
     /// Per-bank next-free time (service occupancy / contention).
     bank_free: Vec<u64>,
-    /// Dense ids for atomically-accessed word addresses.
+    /// Dense ids for atomically-accessed words, keyed by word index
+    /// (`addr >> 2`).
     words: IdTable,
     /// Per-word atomic serialization chain, indexed by word id: epoch
     /// tag + completion of the latest atomic to the word. Entries from
@@ -551,9 +520,11 @@ impl<'t> MemorySystem<'t> {
         id
     }
 
-    /// Interns an atomic word address, growing its chain table.
+    /// Interns the 4-byte word holding `addr`, growing its chain table.
+    /// Keyed by word index rather than byte address, so the paged tier
+    /// holds one slot per word of the address space, not one per byte.
     fn intern_word(&mut self, addr: u64) -> u32 {
-        let id = self.words.intern(addr);
+        let id = self.words.intern(addr >> 2);
         if self.atomic_chain.len() <= id as usize {
             self.atomic_chain.resize(id as usize + 1, (0, 0));
         }
@@ -848,6 +819,10 @@ impl<'t> MemorySystem<'t> {
     /// GPU coherence: executes at the word's home L2 bank, serialized per
     /// word and contending for bank service. DeNovo: executes at the L1
     /// when owned (registering first when not), serialized per word.
+    ///
+    /// Atomics act on aligned 4-byte words: two byte addresses inside
+    /// one word (`addr >> 2` equal) share that word's serialization
+    /// chain.
     pub fn atomic(&mut self, sm: u32, addr: u64, at: u64) -> Access {
         let line = self.line_of(addr);
         match self.hw.coherence {
@@ -1167,18 +1142,28 @@ mod tests {
         )
     }
 
+    /// Key slots `t` has allocated across both tiers.
+    fn slots_allocated(t: &IdTable) -> usize {
+        t.pages.iter().flatten().map(|p| p.len()).sum::<usize>() + t.sparse.slots.len()
+    }
+
+    /// A key far above page 0 (it starts page 256), so the tier tests
+    /// also cover pages whose predecessors were never allocated.
+    const MID_KEY: u64 = 1 << 24;
+
     #[test]
     fn id_table_assigns_first_touch_order_across_tiers() {
         let mut t = IdTable::default();
-        // One key per tier, interleaved, then revisited: ids must follow
-        // first-touch order regardless of which tier resolves the key.
+        // Keys on low and high pages and in the sparse tier, interleaved,
+        // then revisited: ids must follow first-touch order regardless
+        // of which tier resolves the key.
         let keys = [
-            7u64,                    // direct
-            DENSE_KEY_LIMIT + 3,     // first paged page
-            PAGED_KEY_LIMIT + 11,    // sparse
-            DENSE_KEY_LIMIT * 2 + 5, // later paged page
-            u64::MAX,                // sparse extreme
-            8,                       // direct again
+            7u64,                 // page 0
+            MID_KEY + 3,          // page 256
+            PAGED_KEY_LIMIT + 11, // sparse
+            MID_KEY * 2 + 5,      // page 512
+            u64::MAX,             // sparse extreme
+            8,                    // page 0 again
         ];
         for (expect, &k) in keys.iter().enumerate() {
             assert_eq!(t.intern(k), expect as u32, "first touch of {k:#x}");
@@ -1189,16 +1174,16 @@ mod tests {
             assert_eq!(t.key(expect as u32), k);
         }
         assert_eq!(t.get(9), None);
-        assert_eq!(t.get(DENSE_KEY_LIMIT + 4), None);
+        assert_eq!(t.get(MID_KEY + 4), None);
         assert_eq!(t.get(PAGED_KEY_LIMIT + 12), None);
     }
 
     #[test]
     fn id_table_paged_tier_survives_a_dense_key_run() {
-        // A contiguous big-graph address range past the direct bound:
-        // every key lands in the paged tier, spanning page boundaries.
+        // A contiguous address range spanning page boundaries: every
+        // key lands in the paged tier.
         let mut t = IdTable::default();
-        let base = DENSE_KEY_LIMIT - 100;
+        let base = MID_KEY - 100;
         for i in 0..(PAGE_SLOTS as u64 * 3) {
             assert_eq!(t.intern(base + i), i as u32);
         }
@@ -1221,6 +1206,48 @@ mod tests {
             assert_eq!(t.get(key), Some(i as u32));
         }
         assert_eq!(t.get(PAGED_KEY_LIMIT + 1), None);
+    }
+
+    #[test]
+    fn word_table_is_sized_by_the_words_it_holds() {
+        // SSSP/CLR on AMZ at scale 0.125 make ~51k distinct atomic
+        // words, the highest at byte 0x72577c. Interning them must not
+        // allocate a slot for every byte (or word) below the top one.
+        let mut m = mem(CoherenceKind::Gpu);
+        let top = 0x72577c_u64;
+        let words = 51_280u64;
+        for i in 0..words {
+            assert_eq!(m.intern_word(top - 4 * i), i as u32);
+        }
+        assert_eq!(m.intern_word(top - 4 * (words - 1)), (words - 1) as u32);
+        let slots = slots_allocated(&m.words);
+        assert!(
+            slots <= 2 * PAGE_SLOTS,
+            "{slots} key slots for {words} words"
+        );
+    }
+
+    #[test]
+    fn atomics_on_adjacent_words_keep_separate_chains() {
+        for coh in [CoherenceKind::Gpu, CoherenceKind::DeNovo] {
+            // The same first atomic in three systems, then a second one
+            // at the first's proceed time: to the same word, to another
+            // byte of that word, and to the adjacent word.
+            let second = |addr: u64| {
+                let mut m = mem(coh);
+                let first = m.atomic(0, 0x1000, 0);
+                (first, m.atomic(0, addr, first.proceed_at))
+            };
+            let (first, same) = second(0x1000);
+            let (_, same_word) = second(0x1002);
+            let (_, adjacent) = second(0x1004);
+            assert!(same.complete_at > first.complete_at, "{coh:?}: chained");
+            assert_eq!(same_word, same, "{coh:?}: one word, one chain");
+            assert!(
+                adjacent.complete_at < same.complete_at,
+                "{coh:?}: adjacent word serialized behind its neighbour"
+            );
+        }
     }
 
     #[test]
